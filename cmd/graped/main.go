@@ -37,7 +37,6 @@ import (
 
 func main() {
 	graphPath := flag.String("graph", "", "edge-list graph file to serve")
-	useMmap := flag.Bool("mmap", false, "load -graph via mmap instead of streaming reads (falls back when unmappable)")
 	genSpec := flag.String("gen", "", "generate the served graph: powerlaw:N:avgdeg:seed, grid:rows:cols:seed, ratings:users:products:peruser:rank:seed")
 	listen := flag.String("listen", "127.0.0.1:0", "TCP address to serve on (port 0 picks an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once serving")
@@ -49,7 +48,7 @@ func main() {
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "SSSP batching window (0 disables batching)")
 	batchMax := flag.Int("batch-max", 8, "max sources per batched SSSP run")
 	njobs := flag.Int("njobs", 0, "engine compute parallelism per run (0: GOMAXPROCS)")
-	deadline := flag.Duration("deadline", 0, "per-query engine deadline (0: none)")
+	deadline := flag.Duration("deadline", 0, "per-query engine deadline (0: engine default, 5m)")
 	pagerankTol := flag.Float64("pagerank-tol", 1e-8, "PageRank query tolerance")
 	cfEpochs := flag.Int("cf-epochs", 10, "CF training epochs for -gen ratings graphs")
 	rpcWorkers := flag.Int("rpc-workers", 0, "RPC handler pool size (0: in-flight cap + queue depth)")
@@ -57,27 +56,20 @@ func main() {
 
 	logger := log.New(os.Stderr, "graped ", log.LstdFlags|log.Lmicroseconds)
 
-	g, cfCfg, err := loadGraph(*graphPath, *genSpec, *cfEpochs, *useMmap)
+	g, cfCfg, err := loadGraph(*graphPath, *genSpec, *cfEpochs)
 	if err != nil {
 		fatal(err)
 	}
-	var strat partition.Strategy
-	switch *strategy {
-	case "hash":
-		strat = partition.Hash{}
-	case "range":
-		strat = partition.Range{}
-	case "bfs":
-		strat = partition.BFSLocality{}
-	default:
-		fatal(fmt.Errorf("unknown partition strategy %q", *strategy))
+	strat, err := partition.ParseStrategy(*strategy)
+	if err != nil {
+		fatal(err)
 	}
 	p, err := partition.Build(g, *workers, strat)
 	if err != nil {
 		fatal(err)
 	}
 
-	mode, err := parseMode(*modeName)
+	mode, err := core.ParseMode(*modeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -128,16 +120,12 @@ func main() {
 
 // loadGraph resolves -graph / -gen into the served graph, plus a CF
 // config when the graph is a generated rating graph.
-func loadGraph(path, spec string, cfEpochs int, useMmap bool) (*graph.Graph, *cf.Config, error) {
+func loadGraph(path, spec string, cfEpochs int) (*graph.Graph, *cf.Config, error) {
 	switch {
 	case path != "" && spec != "":
 		return nil, nil, fmt.Errorf("-graph and -gen are mutually exclusive")
 	case path != "":
-		read := graph.ReadEdgeListFile
-		if useMmap {
-			read = graph.ReadEdgeListFileMmap
-		}
-		g, err := read(path)
+		g, err := graph.ReadEdgeListFile(path)
 		return g, nil, err
 	case spec == "":
 		return nil, nil, fmt.Errorf("one of -graph or -gen is required")
@@ -210,23 +198,6 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-func parseMode(s string) (core.Mode, error) {
-	switch strings.ToLower(s) {
-	case "aap":
-		return core.AAP, nil
-	case "bsp":
-		return core.BSP, nil
-	case "ap":
-		return core.AP, nil
-	case "ssp":
-		return core.SSP, nil
-	case "hsync":
-		return core.Hsync, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
 }
 
 func fatal(err error) {

@@ -202,7 +202,7 @@ func TestSSSPDeltaFewerRelaxations(t *testing.T) {
 		ctx := core.NewEngineContext[float64](p.Frags[0], 1)
 		prog.PEval(ctx)
 		ctx.TakeOut()
-		return prog.(interface{ Relaxations() int64 }).Relaxations()
+		return prog.(core.ScanCounter).ScannedEdges()
 	}
 	frontier := relaxations(sssp.Config{Kernel: sssp.KernelFrontier, Shards: 1})
 	delta := relaxations(sssp.Config{Kernel: sssp.KernelBuckets, Shards: 1})

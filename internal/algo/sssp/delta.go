@@ -114,9 +114,6 @@ func (p *deltaProgram) KernelRounds() int { return p.rounds }
 // BucketsDrained reports the nonempty buckets drained so far.
 func (p *deltaProgram) BucketsDrained() int { return p.buckets }
 
-// Relaxations reports the edge relaxations attempted so far.
-func (p *deltaProgram) Relaxations() int64 { return p.relaxed }
-
 // ScannedEdges reports the raw CSR edges the sweeps read
 // (core.ScanCounter).
 func (p *deltaProgram) ScannedEdges() int64 { return p.relaxed }

@@ -223,10 +223,6 @@ func newProgram(f *partition.Fragment, source graph.VertexID, shards int) *progr
 // per-round scaling axis of aapbench -exp compute).
 func (p *program) KernelRounds() int { return p.rounds }
 
-// Relaxations reports the edge relaxations attempted so far — the work
-// metric the delta-stepping comparison is about.
-func (p *program) Relaxations() int64 { return p.relaxed }
-
 // ScannedEdges reports the raw CSR edges the sweeps read (one per
 // out-edge of every expanded frontier vertex) — core.ScanCounter, the
 // denominator of the batched multi-source amortization ratio.

@@ -37,10 +37,6 @@ type refProgram struct {
 // ScannedEdges reports the raw CSR edges read (core.ScanCounter).
 func (p *refProgram) ScannedEdges() int64 { return p.relaxed }
 
-// Relaxations reports the edge relaxations attempted so far, the work
-// metric the kernel comparisons in aapbench -exp compute use.
-func (p *refProgram) Relaxations() int64 { return p.relaxed }
-
 func newRefProgram(f *partition.Fragment, source graph.VertexID) *refProgram {
 	p := &refProgram{f: f, g: f.Graph(), source: source}
 	p.dist = make([]float64, f.Slots())

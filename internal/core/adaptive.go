@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 )
 
@@ -79,6 +80,17 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// ParseMode is the inverse of Mode.String, ignoring case: "aap" and
+// "AAP" both parse to AAP.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{AAP, BSP, AP, SSP, Hsync} {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 // bspController implements δ for BSP: a worker that has completed more

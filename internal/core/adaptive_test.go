@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +140,17 @@ func TestModeStrings(t *testing.T) {
 	for m, s := range want {
 		if m.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), s)
+		}
+		if m == Mode(42) {
+			if _, err := ParseMode(s); err == nil {
+				t.Errorf("ParseMode(%q) accepted an unknown mode", s)
+			}
+			continue
+		}
+		for _, in := range []string{s, strings.ToLower(s)} {
+			if got, err := ParseMode(in); err != nil || got != m {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, m)
+			}
 		}
 	}
 }

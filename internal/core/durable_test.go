@@ -64,7 +64,7 @@ func durableDir(t *testing.T) string {
 func durableRunOpts(dir string) core.Options {
 	return core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: dir, Retain: 8},
 	}
 }
@@ -183,7 +183,7 @@ func sameFloats(t *testing.T, want, got []float64, label string) {
 func TestDurableProcessKillResume(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := remoteTestJob()
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestDurableProcessKillResume(t *testing.T) {
 func TestDurableProcessKillResumePageRank(t *testing.T) {
 	p := prTestPartition(t)
 	cfg := pagerank.Config{Tol: 1e-10, Shards: 2}
-	base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestDurableKillResumeKill(t *testing.T) {
 		t.Run(fmt.Sprintf("sssp/shards=%d", shards), func(t *testing.T) {
 			p := remoteTestPartition(t)
 			job := sssp.JobShards(0, shards)
-			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestDurableKillResumeKill(t *testing.T) {
 		t.Run(fmt.Sprintf("cc/shards=%d", shards), func(t *testing.T) {
 			p := ccTestPartition(t)
 			job := cc.JobShards(shards)
-			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,7 +365,7 @@ func copyDurableDir(t *testing.T, src string) string {
 func TestDurableCorruptionFallback(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := remoteTestJob()
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestDurableCorruptionFallback(t *testing.T) {
 func TestDurableResumeRemoteTCP(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := remoteTestJob()
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestDurableRunWritesRecords(t *testing.T) {
 // Resume) is a configuration error, not a silent no-op.
 func TestDurableDirRequiresCheckpointing(t *testing.T) {
 	p := remoteTestPartition(t)
-	opts := core.Options{Mode: core.AAP, Timeout: time.Minute,
+	opts := core.Options{Mode: core.AAP, Deadline: time.Minute,
 		Checkpoint: core.CheckpointOptions{Dir: t.TempDir()}}
 	if _, err := core.Run(p, remoteTestJob(), opts); err == nil || !strings.Contains(err.Error(), "EveryRounds") {
 		t.Fatalf("Dir without EveryRounds: err = %v", err)

@@ -38,8 +38,6 @@ type Options struct {
 	// MaxRounds aborts the run when any worker exceeds it; a safety
 	// valve for non-terminating programs. Defaults to 1 << 20.
 	MaxRounds int32
-	// Timeout aborts the run after this wall time. Defaults to 5 minutes.
-	Timeout time.Duration
 	// HsyncWindow is the phase length, in global rounds, of Hsync mode.
 	HsyncWindow int32
 	// Checkpoint enables Chandy-Lamport snapshots; requires every
@@ -48,10 +46,11 @@ type Options struct {
 	// Faults, when non-nil, injects the configured deterministic fault
 	// schedule (worker kill/stall, message delay/duplicate/drop).
 	Faults *Faults
-	// Deadline, when positive, force-finishes the run after this wall
-	// time: Run returns the partial Result plus an error wrapping
-	// context.DeadlineExceeded, instead of the nil Result a Timeout
-	// abort produces.
+	// Deadline bounds the run's wall time; zero means 5 minutes. On
+	// expiry the run is force-finished and Run returns the partial
+	// Result plus an error wrapping context.DeadlineExceeded. A run
+	// that fails for another reason (a worker panic, MaxRounds, a
+	// transport failure) returns a nil Result and that error.
 	Deadline time.Duration
 	// Transport selects the message plane (in-proc channels, TCP, remote
 	// Program hosts); nil is the in-proc fast path.
@@ -71,8 +70,8 @@ func (o *Options) withDefaults() Options {
 	if out.MaxRounds <= 0 {
 		out.MaxRounds = 1 << 20
 	}
-	if out.Timeout <= 0 {
-		out.Timeout = 5 * time.Minute
+	if out.Deadline <= 0 {
+		out.Deadline = 5 * time.Minute
 	}
 	return out
 }
@@ -195,22 +194,14 @@ func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeSt
 		}(w)
 	}
 
-	timer := time.NewTimer(opts.Timeout)
+	timer := time.NewTimer(opts.Deadline)
 	defer timer.Stop()
-	var deadlineC <-chan time.Time
-	if opts.Deadline > 0 {
-		dt := time.NewTimer(opts.Deadline)
-		defer dt.Stop()
-		deadlineC = dt.C
-	}
 	deadlined := false
 	select {
 	case <-e.coord.doneCh():
-	case <-deadlineC:
+	case <-timer.C:
 		deadlined = true
 		e.coord.forceDone()
-	case <-timer.C:
-		e.fail(fmt.Errorf("core: %s/%s timed out after %v", job.Name, opts.Mode, opts.Timeout))
 	}
 	e.closeDone()
 	wg.Wait()

@@ -118,11 +118,11 @@ func TestChurchRosserSSSP(t *testing.T) {
 		for _, s := range strategies {
 			p := mustPartition(t, g, 4+int(seed), s)
 			opts := core.Options{
-				Mode:    core.Mode(seed % 3), // cycles AAP, BSP, AP
-				Jitter:  2 * time.Millisecond,
-				Seed:    seed,
-				LFloor:  int(seed % 4),
-				Timeout: time.Minute,
+				Mode:     core.Mode(seed % 3), // cycles AAP, BSP, AP
+				Jitter:   2 * time.Millisecond,
+				Seed:     seed,
+				LFloor:   int(seed % 4),
+				Deadline: time.Minute,
 			}
 			res, err := core.Run(p, sssp.Job(0), opts)
 			if err != nil {
@@ -227,7 +227,7 @@ func TestMaxRoundsAborts(t *testing.T) {
 		},
 		Aggregate: math.Min,
 	}
-	_, err := core.Run(p, job, core.Options{MaxRounds: 50, Timeout: 30 * time.Second})
+	_, err := core.Run(p, job, core.Options{MaxRounds: 50, Deadline: 30 * time.Second})
 	if err == nil {
 		t.Fatal("expected max-rounds error")
 	}

@@ -23,7 +23,7 @@ import (
 func chaosOpts(seed int64) core.Options {
 	return core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Faults: &core.Faults{
 			Seed: seed,
@@ -41,7 +41,7 @@ func TestChaosKillMatchesFaultFreeSSSP(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, k := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestChaosKillMatchesFaultFreeCC(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, k := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, cc.JobShards(k), core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, cc.JobShards(k), core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestChaosKillMatchesFaultFreePageRank(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
 			cfg := pagerank.Config{Tol: 1e-10, Shards: k}
-			base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,14 +126,14 @@ func TestChaosKillMatchesFaultFreePageRank(t *testing.T) {
 func TestKillBeforeAnySealRestartsFresh(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 5)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := core.Run(p, sssp.Job(0), core.Options{
-		Mode:    core.AAP,
-		Timeout: time.Minute,
-		Faults:  &core.Faults{Kill: &core.KillSpec{Worker: 2, Round: 1}},
+		Mode:     core.AAP,
+		Deadline: time.Minute,
+		Faults:   &core.Faults{Kill: &core.KillSpec{Worker: 2, Round: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,13 +153,13 @@ func TestKillBeforeAnySealRestartsFresh(t *testing.T) {
 func TestCheckpointDoesNotPerturb(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := core.Run(p, sssp.Job(0), core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 	})
 	if err != nil {
@@ -187,13 +187,13 @@ func TestCheckpointDoesNotPerturb(t *testing.T) {
 func TestDuplicateAndDelaySafeForMinFold(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 7)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := core.Run(p, sssp.Job(0), core.Options{
-		Mode:    core.AAP,
-		Timeout: time.Minute,
+		Mode:     core.AAP,
+		Deadline: time.Minute,
 		Faults: &core.Faults{
 			Seed:      9,
 			DupProb:   0.3,
@@ -218,9 +218,9 @@ func TestDropLiveness(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 8)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	res, err := core.Run(p, sssp.Job(0), core.Options{
-		Mode:    core.AAP,
-		Timeout: time.Minute,
-		Faults:  &core.Faults{Seed: 11, DropProb: 0.2},
+		Mode:     core.AAP,
+		Deadline: time.Minute,
+		Faults:   &core.Faults{Seed: 11, DropProb: 0.2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestWorkerPanicContained(t *testing.T) {
 		New:       func(f *partition.Fragment) core.Program[float64] { return &bomb{f: f} },
 		Aggregate: math.Min,
 	}
-	_, err := core.Run(p, job, core.Options{Timeout: 30 * time.Second})
+	_, err := core.Run(p, job, core.Options{Deadline: 30 * time.Second})
 	if err == nil {
 		t.Fatal("panicking worker produced no error")
 	}
@@ -279,7 +279,7 @@ func TestCheckpointRequiresSnapshotter(t *testing.T) {
 		Aggregate: math.Min,
 	}
 	_, err := core.Run(p, job, core.Options{
-		Timeout:    30 * time.Second,
+		Deadline:   30 * time.Second,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 	})
 	if err == nil || !strings.Contains(err.Error(), "Snapshotter") {
@@ -295,7 +295,6 @@ func TestDeadlinePartialResult(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	res, err := core.Run(p, sssp.Job(0), core.Options{
 		Mode:     core.AAP,
-		Timeout:  time.Minute,
 		Deadline: 200 * time.Millisecond,
 		Faults: &core.Faults{
 			Stall: &core.StallSpec{Worker: 0, Round: 0, For: time.Minute},

@@ -7,10 +7,13 @@ package core_test
 // forced kernel shard counts.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"aap/internal/algo/cc"
 	"aap/internal/algo/pagerank"
@@ -192,5 +195,35 @@ func TestRunIsThinSessionWrapper(t *testing.T) {
 	}
 	if one.Stats.ArenaBytes != two.Stats.ArenaBytes {
 		t.Fatalf("ArenaBytes: Run %d != Query %d", one.Stats.ArenaBytes, two.Stats.ArenaBytes)
+	}
+}
+
+// TestSessionDeadlineCountsFailed: a query that hits its Deadline
+// returns a partial result with an error, and the session counts it as
+// failed, not completed — every admitted query lands in exactly one of
+// the two counters.
+func TestSessionDeadlineCountsFailed(t *testing.T) {
+	g := gen.PowerLaw(300, 5, 2.1, true, 4)
+	p, err := partition.Build(g, 4, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewSession(p)
+	if _, err := core.Query(s, sssp.Job(0), core.Options{Mode: core.AAP}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Query(s, sssp.Job(0), core.Options{
+		Mode:     core.AAP,
+		Deadline: 200 * time.Millisecond,
+		Faults: &core.Faults{
+			Stall: &core.StallSpec{Worker: 0, Round: 0, For: time.Minute},
+		},
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || res == nil {
+		t.Fatalf("stalled query: res nil = %v, err = %v; want a partial result and context.DeadlineExceeded", res == nil, err)
+	}
+	st := s.Stats()
+	if st.Admitted != 2 || st.Completed != 1 || st.Failed != 1 || st.Completed+st.Failed != st.Admitted {
+		t.Fatalf("session stats off: %+v", st)
 	}
 }

@@ -166,7 +166,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 	t.Run("sssp", func(t *testing.T) {
 		p := remoteTestPartition(t)
 		job := remoteTestJob()
-		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 		topts := supervisedTopts(sup)
 		res, err := core.Run(p, job, core.Options{
 			Mode:       core.AAP,
-			Timeout:    time.Minute,
+			Deadline:   time.Minute,
 			Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 			Transport:  &topts,
 			RoundHook:  k.hook,
@@ -192,7 +192,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 	t.Run("pagerank", func(t *testing.T) {
 		p := prTestPartition(t)
 		job := pagerank.Job(prSuperviseConfig())
-		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 		topts := supervisedTopts(sup)
 		res, err := core.Run(p, job, core.Options{
 			Mode:       core.AAP,
-			Timeout:    time.Minute,
+			Deadline:   time.Minute,
 			Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 			Transport:  &topts,
 			RoundHook:  k.hook,
@@ -226,7 +226,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 func TestSupervisedBudgetFailback(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := remoteTestJob()
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSupervisedBudgetFailback(t *testing.T) {
 	topts := supervisedTopts(sup)
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 		RoundHook:  k.hook,
@@ -285,7 +285,7 @@ func hostLink(m int) int32 { return int32(m + 1 + remoteVictim) }
 func TestSupervisedPartitionHealNoRestarts(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := tickerJob(superviseTickerRounds)
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestSupervisedPartitionHealNoRestarts(t *testing.T) {
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
 		Latency:    3 * time.Millisecond,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 	})
@@ -328,7 +328,7 @@ func TestSupervisedPartitionHealNoRestarts(t *testing.T) {
 func TestSupervisedPartitionKillConverges(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := tickerJob(superviseTickerRounds)
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestSupervisedPartitionKillConverges(t *testing.T) {
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
 		Latency:    3 * time.Millisecond,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 	})

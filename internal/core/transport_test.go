@@ -19,7 +19,7 @@ import (
 func tcpOpts() core.Options {
 	return core.Options{
 		Mode:      core.AAP,
-		Timeout:   time.Minute,
+		Deadline:  time.Minute,
 		Transport: &core.TransportOptions{TCP: true},
 	}
 }
@@ -33,7 +33,7 @@ func TestTCPPlaneMatchesInProcSSSP(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestTCPPlaneMatchesInProcCC(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, cc.JobShards(k), core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, cc.JobShards(k), core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestTCPPlaneMatchesInProcCC(t *testing.T) {
 func TestTCPPlaneMatchesInProcPageRank(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.2, false, 3)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, pagerank.Job(pagerank.Config{}), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, pagerank.Job(pagerank.Config{}), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTCPPlaneMatchesInProcPageRank(t *testing.T) {
 func TestTCPPlaneChaosKillRecovers(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.JobShards(0, 2), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.JobShards(0, 2), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 // stable per-row sorter with monomorphic insertion and LSD-radix fast
 // paths. Everything is dense-array work — no maps anywhere on the path —
 // and every stage produces output bit-identical to the retained
-// sequential references in ingest_ref.go: same vertex order, same
+// sequential references in ingest_ref_test.go: same vertex order, same
 // adjacency order (ascending neighbor, parallel edges in input order).
 package graph
 

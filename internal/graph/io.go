@@ -92,7 +92,7 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // resident bytes stay near the parsed representation instead of >= the
 // input size.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	return readEdgeListStream(r)
+	return readEdgeListStream(r, loaderWindow)
 }
 
 // ReadEdgeListFile loads an edge-list file through the parallel parser,
@@ -104,5 +104,5 @@ func ReadEdgeListFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return readEdgeListStream(f)
+	return readEdgeListStream(f, loaderWindow)
 }

@@ -16,8 +16,8 @@
 // final internal-id assignment — a merge of the shard lists by that
 // same key — exactly the first-appearance order a single sequential
 // Builder would produce. The result is bit-identical to the retained
-// reference reader (io_ref.go) for any chunk or shard count, which the
-// differential and fuzz tests in io_test.go pin.
+// reference reader (io_ref_test.go) for any chunk or shard count,
+// which the differential and fuzz tests in io_test.go pin.
 package graph
 
 import (

@@ -18,18 +18,17 @@ import (
 	"aap/internal/par"
 )
 
-// streamWindow is the read window of the streaming loader. Inputs that
+// loaderWindow is the read window of the streaming loader. Inputs that
 // fit one window take the in-memory path unchanged; larger inputs
-// stream. A variable so tests can shrink it to force multi-window
-// parses on small inputs.
-var streamWindow = 8 << 20
+// stream.
+const loaderWindow = 8 << 20
 
-// readEdgeListStream reads the edge-list format from r window by
-// window. Errors report the same text and global line numbers as the
+// readEdgeListStream reads the edge-list format from r window bytes at
+// a time. Errors report the same text and global line numbers as the
 // in-memory parse: windows are checked in file order before the buffer
 // is reused.
-func readEdgeListStream(r io.Reader) (*Graph, error) {
-	buf, eof, err := fillBuf(r, make([]byte, 0, streamWindow))
+func readEdgeListStream(r io.Reader, window int) (*Graph, error) {
+	buf, eof, err := fillBuf(r, make([]byte, 0, window))
 	if err != nil {
 		return nil, err
 	}

@@ -10,19 +10,10 @@ import (
 	"testing"
 )
 
-// smallWindow shrinks the stream window so modest inputs cross many
-// window boundaries, restoring it on cleanup.
-func smallWindow(t *testing.T, w int) {
-	t.Helper()
-	old := streamWindow
-	streamWindow = w
-	t.Cleanup(func() { streamWindow = old })
-}
-
-// streamBoth parses data through the windowed streaming reader and the
-// in-memory slurp path.
-func streamBoth(data []byte) (*Graph, error, *Graph, error) {
-	got, gotErr := readEdgeListStream(bytes.NewReader(data))
+// streamBoth parses data through the streaming reader with the given
+// window and through the in-memory slurp path.
+func streamBoth(data []byte, window int) (*Graph, error, *Graph, error) {
+	got, gotErr := readEdgeListStream(bytes.NewReader(data), window)
 	want, wantErr := ParseEdgeList(data)
 	return got, gotErr, want, wantErr
 }
@@ -40,9 +31,8 @@ func TestStreamMatchesSlurp(t *testing.T) {
 	data := buf.Bytes() // ~100 KiB
 	for _, win := range []int{1 << 10, 4096 + 13, 1 << 16} {
 		for _, procs := range []int{1, 3} {
-			smallWindow(t, win)
 			forceShards(t, procs)
-			got, gotErr, want, wantErr := streamBoth(data)
+			got, gotErr, want, wantErr := streamBoth(data, win)
 			if gotErr != nil || wantErr != nil {
 				t.Fatalf("win=%d procs=%d: stream err %v, slurp err %v", win, procs, gotErr, wantErr)
 			}
@@ -74,8 +64,7 @@ func TestStreamCarryOverLines(t *testing.T) {
 	}
 	data := []byte(sb.String())
 	for _, win := range []int{64, 97, 256} {
-		smallWindow(t, win)
-		got, gotErr, want, wantErr := streamBoth(data)
+		got, gotErr, want, wantErr := streamBoth(data, win)
 		if gotErr != nil || wantErr != nil {
 			t.Fatalf("win=%d: stream err %v, slurp err %v", win, gotErr, wantErr)
 		}
@@ -100,8 +89,7 @@ func TestStreamErrorParity(t *testing.T) {
 	sb.WriteString("7 8 not-a-number\n") // line 3002
 	sb.WriteString("9 10 2.5\n")
 	data := []byte(sb.String())
-	smallWindow(t, 512)
-	got, gotErr, want, wantErr := streamBoth(data)
+	got, gotErr, want, wantErr := streamBoth(data, 512)
 	if got != nil || want != nil {
 		t.Fatal("expected both paths to fail")
 	}
@@ -130,14 +118,13 @@ func TestStreamHeaderSpansWindows(t *testing.T) {
 	sb.WriteString("0 1 2.5\n1 2 0.5\n")
 	sb.WriteString("bad line with four fields\n") // checks line numbers too
 	data := []byte(sb.String())
-	smallWindow(t, 256)
-	_, gotErr, _, wantErr := streamBoth(data)
+	_, gotErr, _, wantErr := streamBoth(data, 256)
 	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Fatalf("stream err %q, slurp err %q", gotErr, wantErr)
 	}
 	// Drop the bad tail: the parsed graph must carry the header flags.
 	clean := data[:bytes.LastIndexByte(data[:len(data)-1], '\n')+1]
-	got, err := readEdgeListStream(bytes.NewReader(clean))
+	got, err := readEdgeListStream(bytes.NewReader(clean), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +140,7 @@ func TestStreamHeaderSpansWindows(t *testing.T) {
 func TestStreamTooLongLine(t *testing.T) {
 	data := append([]byte("0 1\n2 "), bytes.Repeat([]byte("9"), maxLineLen+8)...)
 	data = append(data, '\n')
-	smallWindow(t, 1024)
-	got, gotErr, want, wantErr := streamBoth(data)
+	got, gotErr, want, wantErr := streamBoth(data, 1024)
 	if got != nil || want != nil {
 		t.Fatal("expected both paths to fail")
 	}
@@ -167,17 +153,16 @@ func TestStreamTooLongLine(t *testing.T) {
 // EOF exactly as in memory.
 func TestStreamNoTrailingNewline(t *testing.T) {
 	data := []byte("0 1\n1 2\n2 3")
-	smallWindow(t, 8)
-	got, gotErr, want, wantErr := streamBoth(data)
+	got, gotErr, want, wantErr := streamBoth(data, 8)
 	if gotErr != nil || wantErr != nil {
 		t.Fatalf("errs: %v / %v", gotErr, wantErr)
 	}
 	equalGraphs(t, "stream-eof", got, want)
 }
 
-// TestStreamFile round-trips through ReadEdgeListFile with a window
-// smaller than the file, the production entry point of the streaming
-// path.
+// TestStreamFile round-trips a file through ReadEdgeListFile, the
+// production entry point, and through the streaming reader with a
+// window smaller than the file.
 func TestStreamFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := randomBuilder(rng, false, true, 200, 3000).buildRef()
@@ -189,14 +174,66 @@ func TestStreamFile(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	smallWindow(t, 777)
-	got, err := ReadEdgeListFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := ParseEdgeList(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := ReadEdgeListFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	equalGraphs(t, "stream-file", got, want)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err = readEdgeListStream(f, 777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalGraphs(t, "stream-file-windowed", got, want)
+}
+
+// TestStreamFileMissing: a missing file reports the open error.
+func TestStreamFileMissing(t *testing.T) {
+	if _, err := ReadEdgeListFile(filepath.Join(t.TempDir(), "absent")); !os.IsNotExist(err) {
+		t.Fatalf("want not-exist error, got %v", err)
+	}
+}
+
+// TestStreamFileEmpty: an empty file loads as the empty graph the
+// in-memory parse builds from no bytes.
+func TestStreamFileEmpty(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadEdgeListFile(path)
+	if err != nil {
+		t.Fatalf("read of empty file: %v", err)
+	}
+	want, err := ParseEdgeList(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumVertices() != 0 || got.NumEdges() != 0 {
+		t.Fatalf("empty file loaded %d vertices, %d edges", got.NumVertices(), got.NumEdges())
+	}
+	equalGraphs(t, "stream-empty", got, want)
+}
+
+// TestStreamFileErrors: malformed input in a file fails with the exact
+// error text of the in-memory parse.
+func TestStreamFileErrors(t *testing.T) {
+	data := []byte("0 1\nnope nope\n2 3\n")
+	path := filepath.Join(t.TempDir(), "bad.txt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, fileErr := ReadEdgeListFile(path)
+	_, memErr := ParseEdgeList(data)
+	if fileErr == nil || memErr == nil || fileErr.Error() != memErr.Error() {
+		t.Fatalf("file err %v, in-memory err %v", fileErr, memErr)
+	}
 }

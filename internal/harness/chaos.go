@@ -50,7 +50,7 @@ func Chaos(workers int, seeds []int64, maxRestarts int, restartBackoff time.Dura
 		return "", err
 	}
 	job := sssp.Job(ds.Source)
-	plain := core.Options{Mode: core.AAP, Timeout: time.Minute}
+	plain := core.Options{Mode: core.AAP, Deadline: time.Minute}
 
 	base, err := core.Run(p, job, plain)
 	if err != nil {

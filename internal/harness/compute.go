@@ -21,10 +21,6 @@ var computeShardCounts = []int{1, 2, 4, 8}
 // normalizes wall time and allocations to per-round figures.
 type roundsReporter interface{ KernelRounds() int }
 
-// relaxReporter is implemented by the SSSP kernels: edge relaxations
-// attempted, the work metric the delta-stepping comparison is about.
-type relaxReporter interface{ Relaxations() int64 }
-
 // bucketReporter is implemented by the delta-stepping kernel: nonempty
 // distance-range buckets drained.
 type bucketReporter interface{ BucketsDrained() int }
@@ -34,7 +30,7 @@ type kernelRun struct {
 	secs    float64
 	rounds  int
 	allocs  uint64
-	relaxed int64 // -1 when the kernel does not report relaxations
+	relaxed int64 // scanned edges; -1 when the kernel is not a core.ScanCounter
 	buckets int   // 0 when the kernel is not bucketed
 }
 
@@ -54,8 +50,8 @@ func runKernel[T any](p *partition.Partitioned, job core.Job[T]) kernelRun {
 	if rr, ok := prog.(roundsReporter); ok {
 		r.rounds = max(rr.KernelRounds(), 1)
 	}
-	if xr, ok := prog.(relaxReporter); ok {
-		r.relaxed = xr.Relaxations()
+	if sc, ok := prog.(core.ScanCounter); ok {
+		r.relaxed = sc.ScannedEdges()
 	}
 	if br, ok := prog.(bucketReporter); ok {
 		r.buckets = br.BucketsDrained()

@@ -49,7 +49,7 @@ func DurableChildMain() {
 	}
 	opts := core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: dir, Retain: 8},
 		// Stretch the run so the parent's SIGKILL lands mid-execution
 		// rather than after completion.
@@ -126,7 +126,7 @@ func durability(b *strings.Builder, p *partition.Partitioned, job core.Job[float
 	row := func(name, rdir string, wantBelow int32) error {
 		opts := core.Options{
 			Mode:       core.AAP,
-			Timeout:    time.Minute,
+			Deadline:   time.Minute,
 			Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: rdir, Retain: 8},
 		}
 		res, err := core.Resume(p, job, opts)

@@ -44,9 +44,13 @@ func Modes() []core.Mode {
 
 // simRun executes one job under the virtual-time simulator and converts
 // the stats to a Row. The partition carries the experiment's skew; the
-// simulator prices rounds by the work the programs report.
+// simulator prices rounds by the work the programs report. Kernels run
+// single-sharded: a multi-shard sweep's work count varies with goroutine
+// scheduling, which would make virtual time nondeterministic.
 func simRun[T any](name string, p *partition.Partitioned, job core.Job[T], cfg sim.Config) (Row, error) {
-	res, err := sim.Run(p, job, cfg)
+	var res *sim.Result[T]
+	var err error
+	withShards(1, func() { res, err = sim.Run(p, job, cfg) })
 	if err != nil {
 		return Row{}, err
 	}

@@ -117,7 +117,7 @@ func supervisedChaosRun(p *partition.Partitioned, job core.Job[float64], workers
 	)
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 		RoundHook: func(worker int, round int32) {

@@ -5,7 +5,8 @@
 // bitsets over the vertex range (idempotent, so the parallel sweep needs
 // only atomic OR, and compaction by ascending scan yields the sorted
 // border slices for free). The map implementation is retained in
-// borders_ref.go and pinned by the differential tests in borders_test.go.
+// borders_ref_test.go and pinned by the differential tests in
+// borders_test.go.
 package partition
 
 import (
@@ -116,14 +117,7 @@ func (p *Partitioned) computeBorders() {
 			f.OutPrime = collectBitsN(bitset(i, kOutPrime), cnts[i*kinds+kOutPrime])
 			f.Out = collectBitsN(bitset(i, kOut), cnts[i*kinds+kOut])
 			f.InPrime = collectBitsN(bitset(i, kInPrime), cnts[i*kinds+kInPrime])
-			base := int32(f.NumOwned())
-			if f.slot != nil {
-				for s, v := range f.Out {
-					f.slot[v] = base + int32(s)
-				}
-			} else {
-				f.copySlots = newFlatSlots(f.Out, base)
-			}
+			f.buildSlots(n)
 		}
 	})
 

@@ -299,4 +299,12 @@ func TestStrategyNames(t *testing.T) {
 	if p.Strategy() != "hash" {
 		t.Errorf("Strategy() = %q", p.Strategy())
 	}
+	for _, want := range []partition.Strategy{partition.Hash{}, partition.Range{}, partition.BFSLocality{}} {
+		if got, err := partition.ParseStrategy(want.Name()); err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", want.Name(), got, err, want)
+		}
+	}
+	if _, err := partition.ParseStrategy("skewed"); err == nil {
+		t.Error("ParseStrategy accepted skewed, which needs a ratio")
+	}
 }

@@ -1,20 +1,16 @@
-// Hybrid slot tables: the owned contiguous range of a fragment maps to
-// local slots arithmetically (v - Lo), and only the F.O copy set goes
-// through a compact open-addressed table. That cuts the routing memory
-// from O(n·m) — m dense length-n arrays — to O(n + Σ|F.O|), while
-// keeping Slot an O(1) lookup on both the owned and the copy path.
+// Per-fragment slot tables. Owned vertices always map arithmetically
+// (v - Lo); the F.O copy set resolves through whichever of two tables is
+// smaller for the fragment, chosen at Build from sizes already known:
 //
-// DenseSlotTables restores the PR 1 dense arrays for deployments that
-// prefer the unconditional single-load lookup over the memory; the
-// differential tests in dense_test.go pin both representations to the
-// same reference behavior.
+//   - a dense length-n array (4·n bytes, one load per lookup), or
+//   - a compact open-addressed table over F.O (8 bytes per entry, at
+//     most half full).
+//
+// A hash partition gives every fragment a copy set comparable to n, so
+// the dense array wins there; a locality partition keeps F.O small, so
+// the compact table wins, cutting routing memory from O(n·m) to
+// O(n + Σ|F.O|).
 package partition
-
-// DenseSlotTables switches Fragment slot lookup back to one dense
-// length-n array per fragment (O(n·m) total memory, one load per
-// lookup). It is read once per partition Build, so it is effectively a
-// build-time constant; tests flip it to cover both representations.
-var DenseSlotTables = false
 
 // flatSlots is an open-addressed global-vertex→slot table over a
 // fragment's F.O copy set. Entries pack key<<32|slot; keys are global
@@ -32,10 +28,7 @@ func newFlatSlots(out []int32, base int32) flatSlots {
 	if len(out) == 0 {
 		return flatSlots{}
 	}
-	size := 8
-	for size < len(out)*2 {
-		size <<= 1
-	}
+	size := flatSlotsSize(len(out))
 	t := flatSlots{entries: make([]uint64, size), mask: uint32(size - 1)}
 	for i := range t.entries {
 		t.entries[i] = flatSlotsEmpty
@@ -48,6 +41,39 @@ func newFlatSlots(out []int32, base int32) flatSlots {
 		t.entries[i] = uint64(uint32(v))<<32 | uint64(uint32(base+int32(s)))
 	}
 	return t
+}
+
+// flatSlotsSize is the entry count of the copy table for k copies: the
+// smallest power of two, at least 8, that keeps the table at most half
+// full; zero for an empty copy set.
+func flatSlotsSize(k int) int {
+	if k == 0 {
+		return 0
+	}
+	size := 8
+	for size < k*2 {
+		size <<= 1
+	}
+	return size
+}
+
+// buildSlots gives f the smaller of the two copy-slot tables for a graph
+// of n vertices: the dense array when its 4·n bytes undercut the copy
+// table's 8 bytes per entry. Copies take slots NumOwned()+s in F.O
+// order under either representation.
+func (f *Fragment) buildSlots(n int) {
+	base := int32(f.NumOwned())
+	if 4*n >= 8*flatSlotsSize(len(f.Out)) {
+		f.copySlots = newFlatSlots(f.Out, base)
+		return
+	}
+	f.slot = make([]int32, n)
+	for v := range f.slot {
+		f.slot[v] = -1
+	}
+	for s, v := range f.Out {
+		f.slot[v] = base + int32(s)
+	}
 }
 
 func (t *flatSlots) hash(v int32) uint32 {
@@ -74,21 +100,36 @@ func (t *flatSlots) get(v int32) int32 {
 	}
 }
 
+// slotBytes is the resident size of f's copy-slot table.
+func (f *Fragment) slotBytes() int64 {
+	return int64(len(f.slot))*4 + int64(len(f.copySlots.entries))*8
+}
+
 // SlotTableBytes reports the resident size of the per-fragment slot
-// mappings alone — the structures the hybrid representation shrinks
-// from O(n·m) to O(Σ|F.O|). The ingest benchmarks use it to compare
-// the two representations.
+// tables alone.
 func (p *Partitioned) SlotTableBytes() int64 {
 	var total int64
 	for _, f := range p.Frags {
-		total += int64(len(f.slot))*4 + int64(len(f.copySlots.entries))*8
+		total += f.slotBytes()
 	}
 	return total
 }
 
+// DenseSlotFragments reports how many fragments chose the dense
+// length-n slot array over the compact copy table.
+func (p *Partitioned) DenseSlotFragments() int {
+	n := 0
+	for _, f := range p.Frags {
+		if f.slot != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // RoutingTableBytes reports the resident size of all routing
-// structures: the dense owner array and CSR holder index (identical
-// under both slot representations) plus SlotTableBytes.
+// structures: the dense owner array and CSR holder index plus
+// SlotTableBytes.
 func (p *Partitioned) RoutingTableBytes() int64 {
 	total := int64(len(p.owner)) * 4
 	total += int64(len(p.holderOff))*4 + int64(len(p.holderDat))*4

@@ -1,10 +1,22 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 
 	"aap/internal/graph"
 )
+
+// ParseStrategy returns the parameterless strategy named name: hash,
+// range or bfs (BFSLocality with seed 0).
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range []Strategy{Hash{}, Range{}, BFSLocality{}} {
+		if s.Name() == name {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown partition strategy %q", name)
+}
 
 // Hash assigns vertices to fragments by hashing their internal index.
 // It produces balanced fragments with poor locality, a common baseline.
