@@ -72,6 +72,26 @@ func min64(a, b int64) int64 {
 	return b
 }
 
+// forInSlots calls fn with the local slot of every in-neighbor of owned
+// slot s that has one. The local CSR holds out-rows only: an undirected
+// graph's in-rows are its out-rows, so they come translated; a directed
+// in-neighbor resolves through Slot (a foreign one by binary search over
+// F.O), once per PEval.
+func forInSlots(f *partition.Fragment, s int32, fn func(us int32)) {
+	g := f.Graph()
+	if !g.Directed() {
+		for _, us := range f.LocalOut(s) {
+			fn(us)
+		}
+		return
+	}
+	for _, u := range g.In(f.Lo + s) {
+		if us := f.Slot(u); us >= 0 {
+			fn(us)
+		}
+	}
+}
+
 // program is the parallel kernel. After PEval converges, comp[s] is the
 // minimum local slot of s's component (fully compressed: comp is
 // constant and comp[comp[s]] == comp[s]), cid[r] carries the minimum
@@ -152,13 +172,10 @@ func (p *program) PEval(ctx *core.Context[int64]) {
 		par.Do(k, func(w int) {
 			ch := false
 			for _, s := range p.ownedSlots[p.bounds[w]:p.bounds[w+1]] {
-				v := f.Lo + s
-				for _, u := range p.g.Out(v) {
-					ch = p.hook(s, u) || ch
+				for _, us := range f.LocalOut(s) {
+					ch = p.hook(s, us) || ch
 				}
-				for _, u := range p.g.In(v) {
-					ch = p.hook(s, u) || ch
-				}
+				forInSlots(f, s, func(us int32) { ch = p.hook(s, us) || ch })
 			}
 			if ch {
 				hooked.Store(true)
@@ -209,24 +226,26 @@ func (p *program) PEval(ctx *core.Context[int64]) {
 		}
 	})
 
-	// Link copies to their roots once and for all (sequential: the
-	// copiesOf list order is the deterministic f.Out order).
-	p.copiesOf = make([][]int32, n)
-	for _, v := range f.Out {
-		r := p.comp[f.Slot(v)].Load()
-		p.copiesOf[r] = append(p.copiesOf[r], v)
-	}
+	p.linkCopies()
 	p.sendCopies(ctx, k)
 }
 
-// hook lowers the label of the larger endpoint of edge (owned slot s,
-// neighbor u) to the smaller endpoint's label; copies hook too, since
-// sequential PEval unions across every local edge of an owned row.
-func (p *program) hook(s int32, u int32) bool {
-	us := p.f.Slot(u)
-	if us < 0 {
-		return false
+// linkCopies links each root to its F.O copies once and for all
+// (sequential: the copiesOf list order is the deterministic f.Out
+// order).
+func (p *program) linkCopies() {
+	owned := p.f.NumOwned()
+	p.copiesOf = make([][]int32, len(p.comp))
+	for i, v := range p.f.Out {
+		r := p.comp[owned+i].Load()
+		p.copiesOf[r] = append(p.copiesOf[r], v)
 	}
+}
+
+// hook lowers the label of the larger endpoint of edge (owned slot s,
+// local slot us) to the smaller endpoint's label; copies hook too, since
+// sequential PEval unions across every local edge of an owned row.
+func (p *program) hook(s, us int32) bool {
 	a := p.comp[s].Load()
 	b := p.comp[us].Load()
 	switch {
@@ -245,9 +264,10 @@ func (p *program) sendCopies(ctx *core.Context[int64], k int) {
 	if nOut == 0 {
 		return
 	}
+	owned := p.f.NumOwned()
 	if k <= 1 {
-		for _, v := range p.f.Out {
-			ctx.Send(v, p.cid[p.comp[p.f.Slot(v)].Load()].Load())
+		for i, v := range p.f.Out {
+			ctx.Send(v, p.cid[p.comp[owned+i].Load()].Load())
 		}
 		return
 	}
@@ -255,8 +275,7 @@ func (p *program) sendCopies(ctx *core.Context[int64], k int) {
 	par.Do(k, func(w int) {
 		st := stages[w]
 		for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
-			v := p.f.Out[i]
-			st.Send(v, p.cid[p.comp[p.f.Slot(v)].Load()].Load())
+			st.Send(p.f.Out[i], p.cid[p.comp[owned+i].Load()].Load())
 		}
 	})
 	ctx.MergeStages()

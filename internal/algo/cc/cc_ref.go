@@ -68,45 +68,45 @@ func (p *refProgram) union(a, b int32) {
 // external id, and ships the cids of F.O copies to their owners.
 func (p *refProgram) PEval(ctx *core.Context[int64]) {
 	f := p.f
-	for v := f.Lo; v < f.Hi; v++ {
-		vs := f.Slot(v)
-		for _, u := range p.g.Out(v) {
-			if us := f.Slot(u); us >= 0 {
-				p.union(vs, us)
-			}
+	for vs := int32(0); vs < int32(f.NumOwned()); vs++ {
+		for _, us := range f.LocalOut(vs) {
+			p.union(vs, us)
 		}
-		for _, u := range p.g.In(v) {
-			if us := f.Slot(u); us >= 0 {
-				p.union(vs, us)
-			}
-		}
+		forInSlots(f, vs, func(us int32) { p.union(vs, us) })
+		v := f.Lo + vs
 		ctx.AddWork(p.g.OutDegree(v) + p.g.InDegree(v))
 	}
 	// Root cids: the minimum external id over the component's members.
 	for i := range p.cid {
 		p.cid[i] = int64(1) << 62
 	}
-	assign := func(v int32) {
-		s := f.Slot(v)
+	owned := int32(f.NumOwned())
+	assign := func(s, v int32) {
 		r := p.find(s)
 		if id := int64(p.g.IDOf(v)); id < p.cid[r] {
 			p.cid[r] = id
 		}
 	}
-	for v := f.Lo; v < f.Hi; v++ {
-		assign(v)
+	for s := int32(0); s < owned; s++ {
+		assign(s, f.Lo+s)
 	}
-	for _, v := range f.Out {
-		assign(v)
+	for i, v := range f.Out {
+		assign(owned+int32(i), v)
 	}
-	// Link copies to their roots once and for all.
-	p.copiesOf = make([][]int32, f.Slots())
-	for _, v := range f.Out {
-		r := p.find(f.Slot(v))
+	p.linkCopies()
+	for i, v := range f.Out {
+		ctx.Send(v, p.cid[p.find(owned+int32(i))])
+	}
+}
+
+// linkCopies lists each root's F.O copies, once and for all: the local
+// forest is fixed after PEval.
+func (p *refProgram) linkCopies() {
+	owned := int32(p.f.NumOwned())
+	p.copiesOf = make([][]int32, p.f.Slots())
+	for i, v := range p.f.Out {
+		r := p.find(owned + int32(i))
 		p.copiesOf[r] = append(p.copiesOf[r], v)
-	}
-	for _, v := range f.Out {
-		ctx.Send(v, p.cid[p.find(f.Slot(v))])
 	}
 }
 

@@ -54,11 +54,7 @@ func (p *program) RestoreState(data []byte) error {
 	}
 	p.rounds = int(rounds)
 	if built {
-		p.copiesOf = make([][]int32, len(comp))
-		for _, v := range p.f.Out {
-			root := p.comp[p.f.Slot(v)].Load()
-			p.copiesOf[root] = append(p.copiesOf[root], v)
-		}
+		p.linkCopies()
 	} else {
 		p.copiesOf = nil
 	}
@@ -90,11 +86,7 @@ func (p *refProgram) RestoreState(data []byte) error {
 	copy(p.parent, parent)
 	copy(p.cid, cid)
 	if built {
-		p.copiesOf = make([][]int32, len(parent))
-		for _, v := range p.f.Out {
-			root := p.find(p.f.Slot(v))
-			p.copiesOf[root] = append(p.copiesOf[root], v)
-		}
+		p.linkCopies()
 	} else {
 		p.copiesOf = nil
 	}

@@ -138,25 +138,27 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 		weight: make([]float64, n),
 	}
 	g := f.Graph()
-	init := func(v int32) {
-		s := f.Slot(v)
+	init := func(s, v int32) {
 		if p.factor[s] == nil {
 			// Deterministic per-(external id, k) init keeps the starting
 			// point independent of partitioning.
 			p.factor[s] = ref.DeterministicFactors(1, cfg.Rank, int64(g.IDOf(v))*31+cfg.Seed)[0]
 		}
 	}
-	for v := f.Lo; v < f.Hi; v++ {
-		init(v)
+	for s := int32(0); s < int32(f.NumOwned()); s++ {
+		v := f.Lo + s
+		init(s, v)
 		ws := g.OutWeights(v)
-		for i, u := range g.Out(v) {
-			init(u)
-			p.edges = append(p.edges, edge{u: f.Slot(v), p: f.Slot(u), r: ws[i]})
-			p.weight[f.Slot(u)]++
+		out := g.Out(v)
+		for i, us := range f.LocalOut(s) {
+			init(us, out[i])
+			p.edges = append(p.edges, edge{u: s, p: us, r: ws[i]})
+			p.weight[us]++
 		}
 	}
-	for _, v := range f.Out {
-		init(v)
+	base := int32(f.NumOwned())
+	for i, v := range f.Out {
+		init(base+int32(i), v)
 	}
 	return p
 }

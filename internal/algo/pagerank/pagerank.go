@@ -225,18 +225,15 @@ func (p *program) run(ctx *core.Context[float64]) {
 				x := p.delta[s]
 				p.delta[s] = 0
 				p.score[s] += x
-				v := p.f.Lo + s
-				out := p.g.Out(v)
+				out := p.f.LocalOut(s)
 				units += int64(len(out)) + 1
 				if len(out) == 0 {
 					continue
 				}
 				share := p.cfg.Damping * x / float64(len(out))
-				for _, u := range out {
-					if us := p.f.Slot(u); us >= 0 {
-						d := int(us) * k / n
-						row[d] = append(row[d], contrib{slot: us, val: share})
-					}
+				for _, us := range out {
+					d := int(us) * k / n
+					row[d] = append(row[d], contrib{slot: us, val: share})
 				}
 			}
 			work[w] = units
@@ -280,18 +277,13 @@ func (p *program) runSeqRound(frontier []int32, ctx *core.Context[float64]) {
 	p.xs = xs
 	var work int64
 	for i, s := range frontier {
-		v := p.f.Lo + s
-		out := p.g.Out(v)
+		out := p.f.LocalOut(s)
 		work += int64(len(out)) + 1
 		if len(out) == 0 {
 			continue
 		}
 		share := p.cfg.Damping * xs[i] / float64(len(out))
-		for _, u := range out {
-			us := p.f.Slot(u)
-			if us < 0 {
-				continue
-			}
+		for _, us := range out {
 			p.delta[us] += share
 			if us < owned && p.delta[us] > p.cfg.Tol {
 				p.fr.Add(0, us)

@@ -126,17 +126,14 @@ func (p *refProgram) run(ctx *core.Context[float64]) {
 		p.xs = xs
 		var work int
 		for i, s := range p.frontier {
-			v := p.f.Lo + s
-			out := p.g.Out(v)
+			out := p.f.LocalOut(s)
 			work += len(out) + 1
 			if len(out) == 0 {
 				continue
 			}
 			share := p.cfg.Damping * xs[i] / float64(len(out))
-			for _, u := range out {
-				if us := p.f.Slot(u); us >= 0 {
-					p.add(us, share)
-				}
+			for _, us := range out {
+				p.add(us, share)
 			}
 		}
 		ctx.AddWork(work)

@@ -228,10 +228,9 @@ func (p *deltaProgram) relaxPhase(ctx *core.Context[float64], items []int32, lig
 	par.Do(k, func(w int) {
 		var n int64
 		for _, s := range items[p.bounds[w]:p.bounds[w+1]] {
-			v := p.f.Lo + s
 			d := math.Float64frombits(p.dist[s].Load())
-			wts := p.g.OutWeights(v)
-			for i, u := range p.g.Out(v) {
+			wts := p.g.OutWeights(p.f.Lo + s)
+			for i, us := range p.f.LocalOut(s) {
 				wt := 1.0
 				if wts != nil {
 					wt = wts[i]
@@ -240,7 +239,7 @@ func (p *deltaProgram) relaxPhase(ctx *core.Context[float64], items []int32, lig
 					continue
 				}
 				n++
-				p.relax(u, d+wt, w, owned)
+				p.relax(us, d+wt, w, owned)
 			}
 		}
 		scanned[w] = n
@@ -253,17 +252,13 @@ func (p *deltaProgram) relaxPhase(ctx *core.Context[float64], items []int32, lig
 	ctx.AddWork(int(total))
 }
 
-// relax lowers u's distance to nd if it improves, staging owned slots
-// into the bucket of their new distance and marking improved copies for
-// the flush. A racing further improvement can leave nd stale-high here;
-// the loser's staging then fails the bucket CAS-min (or goes stale) and
-// the winner's bucket is the one drained — the processing always reads
-// the then-current distance.
-func (p *deltaProgram) relax(u int32, nd float64, w int, owned int32) {
-	slot := p.f.Slot(u)
-	if slot < 0 {
-		return
-	}
+// relax lowers local slot slot's distance to nd if it improves, staging
+// owned slots into the bucket of their new distance and marking improved
+// copies for the flush. A racing further improvement can leave nd
+// stale-high here; the loser's staging then fails the bucket CAS-min (or
+// goes stale) and the winner's bucket is the one drained — the
+// processing always reads the then-current distance.
+func (p *deltaProgram) relax(slot int32, nd float64, w int, owned int32) {
 	if !par.MinFloat64Bits(&p.dist[slot], nd) {
 		return
 	}

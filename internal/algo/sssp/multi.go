@@ -222,25 +222,24 @@ func (p *multiProgram) sweep(ctx *core.Context[[]float64]) {
 			var scanned int64
 			d := make([]float64, p.k) // lane snapshot of the expanding slot
 			for _, s := range items[p.bounds[w]:p.bounds[w+1]] {
-				v := p.f.Lo + s
 				base := int(s) * p.k
 				live := false
 				for l := range d {
 					d[l] = math.Float64frombits(p.dist[base+l].Load())
 					live = live || !math.IsInf(d[l], 1)
 				}
-				wts := p.g.OutWeights(v)
-				out := p.g.Out(v)
+				out := p.f.LocalOut(s)
 				scanned += int64(len(out))
 				if !live {
 					continue // stale activation: every lane still at Inf
 				}
-				for i, u := range out {
+				wts := p.g.OutWeights(p.f.Lo + s)
+				for i, us := range out {
 					wt := 1.0
 					if wts != nil {
 						wt = wts[i]
 					}
-					p.relax(u, d, wt, w, owned)
+					p.relax(us, d, wt, w, owned)
 				}
 			}
 			edges[w] = scanned
@@ -254,13 +253,10 @@ func (p *multiProgram) sweep(ctx *core.Context[[]float64]) {
 	}
 }
 
-// relax lowers every reachable lane of u through an edge of weight wt
-// from a slot whose lane snapshot is d; any improvement stages u once.
-func (p *multiProgram) relax(u int32, d []float64, wt float64, w int, owned int32) {
-	slot := p.f.Slot(u)
-	if slot < 0 {
-		return
-	}
+// relax lowers every reachable lane of local slot slot through an edge
+// of weight wt from a slot whose lane snapshot is d; any improvement
+// stages slot once.
+func (p *multiProgram) relax(slot int32, d []float64, wt float64, w int, owned int32) {
 	base := int(slot) * p.k
 	improved := false
 	for l, dl := range d {

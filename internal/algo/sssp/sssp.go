@@ -299,17 +299,16 @@ func (p *program) sweep(ctx *core.Context[float64]) {
 		par.Do(k, func(w int) {
 			var scanned int64
 			for _, s := range items[p.bounds[w]:p.bounds[w+1]] {
-				v := p.f.Lo + s
 				d := math.Float64frombits(p.dist[s].Load())
-				wts := p.g.OutWeights(v)
-				out := p.g.Out(v)
+				wts := p.g.OutWeights(p.f.Lo + s)
+				out := p.f.LocalOut(s)
 				scanned += int64(len(out))
-				for i, u := range out {
+				for i, us := range out {
 					wt := 1.0
 					if wts != nil {
 						wt = wts[i]
 					}
-					p.relax(u, d+wt, w, owned)
+					p.relax(us, d+wt, w, owned)
 				}
 			}
 			edges[w] = scanned
@@ -323,13 +322,10 @@ func (p *program) sweep(ctx *core.Context[float64]) {
 	}
 }
 
-// relax lowers u's distance to nd if it improves, staging owned slots on
-// shard w's frontier list and marking improved copies for the flush.
-func (p *program) relax(u int32, nd float64, w int, owned int32) {
-	slot := p.f.Slot(u)
-	if slot < 0 {
-		return
-	}
+// relax lowers local slot slot's distance to nd if it improves, staging
+// owned slots on shard w's frontier list and marking improved copies for
+// the flush.
+func (p *program) relax(slot int32, nd float64, w int, owned int32) {
 	if !par.MinFloat64Bits(&p.dist[slot], nd) {
 		return
 	}

@@ -25,10 +25,11 @@ type refProgram struct {
 	source graph.VertexID
 	dist   []float64
 	pq     distHeap
-	// changedCopies records F.O copies improved in the current round, so
-	// flushBorder ships only decreased values (the paper's "v.cid
-	// decreased" message-segment analogue). copyChanged mirrors it as a
-	// bitmap over copy slots so each copy is recorded at most once.
+	// changedCopies records the slots of F.O copies improved in the
+	// current round, so flushBorder ships only decreased values (the
+	// paper's "v.cid decreased" message-segment analogue). copyChanged
+	// mirrors it as a bitmap over copy slots so each copy is recorded at
+	// most once.
 	changedCopies []int32
 	copyChanged   []bool
 	relaxed       int64 // edge relaxations attempted
@@ -54,7 +55,7 @@ func (p *refProgram) PEval(ctx *core.Context[float64]) {
 	if !ok || !p.f.Owns(s) {
 		return
 	}
-	p.relax(s, 0)
+	p.relax(s-p.f.Lo, 0)
 	p.dijkstra(ctx)
 	p.flushBorder(ctx)
 }
@@ -71,7 +72,7 @@ func (p *refProgram) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float6
 		if m.Val < p.dist[slot] {
 			p.dist[slot] = m.Val
 			if p.f.Owns(m.V) {
-				p.pq.push(distItem{v: m.V, d: m.Val})
+				p.pq.push(distItem{s: slot, d: m.Val})
 			}
 		}
 	}
@@ -82,19 +83,19 @@ func (p *refProgram) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float6
 // Get returns the current distance of owned vertex v.
 func (p *refProgram) Get(v int32) float64 { return p.dist[p.f.Slot(v)] }
 
-// relax lowers the distance of a local vertex; returns true if improved.
-func (p *refProgram) relax(v int32, d float64) bool {
-	slot := p.f.Slot(v)
-	if slot < 0 || d >= p.dist[slot] {
+// relax lowers the distance of local slot slot; returns true if
+// improved.
+func (p *refProgram) relax(slot int32, d float64) bool {
+	if d >= p.dist[slot] {
 		return false
 	}
 	p.dist[slot] = d
 	owned := int32(p.f.NumOwned())
 	if slot < owned {
-		p.pq.push(distItem{v: v, d: d})
+		p.pq.push(distItem{s: slot, d: d})
 	} else if cs := slot - owned; !p.copyChanged[cs] {
 		p.copyChanged[cs] = true
-		p.changedCopies = append(p.changedCopies, v)
+		p.changedCopies = append(p.changedCopies, slot)
 	}
 	return true
 }
@@ -102,20 +103,19 @@ func (p *refProgram) relax(v int32, d float64) bool {
 func (p *refProgram) dijkstra(ctx *core.Context[float64]) {
 	for p.pq.len() > 0 {
 		it := p.pq.pop()
-		slot := p.f.Slot(it.v)
-		if it.d > p.dist[slot] {
+		if it.d > p.dist[it.s] {
 			continue
 		}
-		ws := p.g.OutWeights(it.v)
-		out := p.g.Out(it.v)
+		ws := p.g.OutWeights(p.f.Lo + it.s)
+		out := p.f.LocalOut(it.s)
 		ctx.AddWork(len(out))
 		p.relaxed += int64(len(out))
-		for i, u := range out {
+		for i, us := range out {
 			w := 1.0
 			if ws != nil {
 				w = ws[i]
 			}
-			p.relax(u, it.d+w)
+			p.relax(us, it.d+w)
 		}
 	}
 }
@@ -124,16 +124,16 @@ func (p *refProgram) dijkstra(ctx *core.Context[float64]) {
 // already dedups entries at relax time, so the flush is a single pass.
 func (p *refProgram) flushBorder(ctx *core.Context[float64]) {
 	owned := int32(p.f.NumOwned())
-	for _, v := range p.changedCopies {
-		slot := p.f.Slot(v)
+	for _, slot := range p.changedCopies {
 		p.copyChanged[slot-owned] = false
-		ctx.Send(v, p.dist[slot])
+		ctx.Send(p.f.Out[slot-owned], p.dist[slot])
 	}
 	p.changedCopies = p.changedCopies[:0]
 }
 
+// distItem is a heap entry: owned slot s at tentative distance d.
 type distItem struct {
-	v int32
+	s int32
 	d float64
 }
 

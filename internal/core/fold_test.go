@@ -146,3 +146,103 @@ func TestFolderFallbackArbitraryVertices(t *testing.T) {
 		}
 	}
 }
+
+// foldBranch reports which output path produced got: the stamp sweep
+// writes the Folder's out buffer, the sparse path sorts its accumulator.
+func foldBranch(fd *Folder[float64], got []VMsg[float64]) string {
+	switch {
+	case len(got) > 0 && len(fd.out) > 0 && &got[0] == &fd.out[0]:
+		return "sweep"
+	case len(got) > 0 && len(fd.acc) > 0 && &got[0] == &fd.acc[0]:
+		return "sort"
+	}
+	return "other"
+}
+
+// foldCase draws msgs messages for frag over the chosen vertex pools,
+// with duplicates and out-of-order rounds.
+func foldCase(rng *rand.Rand, msgs int, pools ...[]int32) []VMsg[float64] {
+	buf := make([]VMsg[float64], msgs)
+	for i := range buf {
+		pool := pools[i%len(pools)]
+		buf[i] = VMsg[float64]{
+			V:     pool[rng.Intn(len(pool))],
+			Val:   math.Floor(rng.Float64()*1000) / 8,
+			Round: int32(rng.Intn(6)),
+			From:  int32(rng.Intn(8)),
+		}
+	}
+	return buf
+}
+
+// TestFolderSweepAndSortBranches drives both output paths of the Folder
+// on a fragment whose F.O has copies below Lo and at or above Hi (the
+// SendToHolders traffic of collaborative filtering): owned-only and
+// mixed buffers on each side of the density threshold, each asserted to
+// take its intended path and to match the generic fold bit for bit,
+// Round/From included.
+func TestFolderSweepAndSortBranches(t *testing.T) {
+	p := buildPartition(t, 4)
+	rng := rand.New(rand.NewSource(5))
+	tested := 0
+	for _, frag := range p.Frags {
+		var owned, below, above []int32
+		for v := frag.Lo; v < frag.Hi; v++ {
+			owned = append(owned, v)
+		}
+		for _, v := range frag.Out {
+			if v < frag.Lo {
+				below = append(below, v)
+			} else {
+				above = append(above, v)
+			}
+		}
+		if len(owned) < 2*foldSweepRatio || len(below) == 0 || len(above) == 0 {
+			continue
+		}
+		tested++
+		cases := []struct {
+			name   string
+			buf    []VMsg[float64]
+			branch string
+		}{
+			{"owned/dense", foldCase(rng, 8*len(owned), owned), "sweep"},
+			{"owned/sparse", foldCase(rng, 1, owned), "sort"},
+			{"mixed/dense", foldCase(rng, 4*frag.Slots(), owned, below, above), "sweep"},
+			{"mixed/sparse", foldCase(rng, 3, owned, below, above), "sort"},
+			{"copies/dense", foldCase(rng, 4*frag.Slots(), below, above), "sweep"},
+		}
+		folder := NewFolder[float64](frag)
+		for _, c := range cases {
+			want := foldMessagesGeneric(c.buf, math.Min)
+			got := folder.Fold(c.buf, math.Min)
+			if !foldEqual(got, want) {
+				t.Fatalf("frag %d %s: fold diverged\n got %+v\nwant %+v", frag.ID, c.name, got, want)
+			}
+			if b := foldBranch(folder, got); b != c.branch {
+				t.Fatalf("frag %d %s: took the %s path, want %s", frag.ID, c.name, b, c.branch)
+			}
+		}
+
+		// Forced generation wrap: stamps left by generation 1 must not
+		// resurface once the counter wraps back to 1.
+		folder = NewFolder[float64](frag)
+		first := foldCase(rng, 4*frag.Slots(), owned, below, above)
+		if got := folder.Fold(first, math.Min); !foldEqual(got, foldMessagesGeneric(first, math.Min)) {
+			t.Fatalf("frag %d: pre-wrap fold diverged", frag.ID)
+		}
+		folder.cur = math.MaxUint32
+		for _, buf := range [][]VMsg[float64]{
+			foldCase(rng, 2*len(owned), owned[:len(owned)/2]),
+			foldCase(rng, 2, below, above),
+		} {
+			want := foldMessagesGeneric(buf, math.Min)
+			if got := folder.Fold(buf, math.Min); !foldEqual(got, want) {
+				t.Fatalf("frag %d: fold after generation wrap diverged\n got %+v\nwant %+v", frag.ID, got, want)
+			}
+		}
+	}
+	if tested == 0 {
+		t.Fatal("no fragment has copies on both sides of its owned range")
+	}
+}

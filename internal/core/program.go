@@ -307,28 +307,48 @@ func foldMessagesGeneric[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 }
 
 // Folder folds message buffers for one fragment without allocating: a
-// dense slot→output-index table guarded by a generation counter (so no
-// per-round clearing) folds each message in O(1), and the reused output
-// slice is sorted in place. Messages for vertices outside the fragment's
-// slot domain (the MapReduce simulation's clique routing) fall back to
-// the generic fold. A Folder is owned by a single worker; it is not safe
-// for concurrent use, and the returned slice is only valid until the
-// next Fold call.
+// dense slot→entry table guarded by a generation counter (so no
+// per-round clearing) folds each message in O(1) into an arrival-order
+// accumulator. Messages for vertices outside the fragment's slot domain
+// (the MapReduce simulation's clique routing) fall back to the generic
+// fold. A Folder is owned by a single worker; it is not safe for
+// concurrent use, and the returned slice is only valid until the next
+// Fold call.
+//
+// The ascending-V output needs no comparison sort when the fold is
+// dense: F.O is sorted, so in V order the slots form three runs — the
+// copies below Lo, the owned slots, the copies at or above Hi — and a
+// sweep of the generation stamps in that run order emits the folded
+// entries already in place. The sweep covers only the owned run when no
+// copy was addressed (the common case: Send routes to owners), and it
+// is taken when the folded entries are at least 1/foldSweepRatio of the
+// slots swept; sparser folds sort the accumulator instead.
 type Folder[T any] struct {
-	frag *partition.Fragment
-	pos  []int32  // slot -> index into out, valid when gen[slot] == cur
-	gen  []uint32 // generation stamp per slot
-	cur  uint32
-	out  []VMsg[T]
+	frag  *partition.Fragment
+	pos   []int32  // slot -> index into acc, valid when gen[slot] == cur
+	gen   []uint32 // generation stamp per slot
+	cur   uint32
+	below int32 // F.O copies with V < Lo: slots [owned, owned+below)
+
+	// acc holds the folded entries in arrival order; out receives the
+	// sweep's ascending-V copy. Both are reused across folds.
+	acc []VMsg[T]
+	out []VMsg[T]
 }
+
+// foldSweepRatio bounds the slots a sweep may scan per folded entry:
+// past it, sorting the few entries beats scanning the stamps.
+const foldSweepRatio = 16
 
 // NewFolder returns a Folder with scratch sized by f's slot count.
 func NewFolder[T any](f *partition.Fragment) *Folder[T] {
 	n := f.Slots()
+	below, _ := slices.BinarySearch(f.Out, f.Lo)
 	return &Folder[T]{
-		frag: f,
-		pos:  make([]int32, n),
-		gen:  make([]uint32, n),
+		frag:  f,
+		pos:   make([]int32, n),
+		gen:   make([]uint32, n),
+		below: int32(below),
 	}
 }
 
@@ -343,7 +363,9 @@ func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 		clear(fd.gen)
 		fd.cur = 1
 	}
-	out := fd.out[:0]
+	owned := int32(fd.frag.NumOwned())
+	copies := false
+	acc := fd.acc[:0]
 	for _, m := range buf {
 		slot := fd.frag.Slot(m.V)
 		if slot < 0 {
@@ -353,19 +375,48 @@ func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 		}
 		if fd.gen[slot] != fd.cur {
 			fd.gen[slot] = fd.cur
-			fd.pos[slot] = int32(len(out))
-			out = append(out, m)
+			fd.pos[slot] = int32(len(acc))
+			acc = append(acc, m)
+			copies = copies || slot >= owned
 			continue
 		}
-		e := &out[fd.pos[slot]]
+		e := &acc[fd.pos[slot]]
 		e.Val = agg(e.Val, m.Val)
 		if m.Round > e.Round {
 			e.Round = m.Round
 			e.From = m.From
 		}
 	}
-	slices.SortFunc(out, func(a, b VMsg[T]) int { return int(a.V) - int(b.V) })
+	fd.acc = acc
+	span := owned
+	if copies {
+		span = int32(len(fd.gen))
+	}
+	if len(acc)*foldSweepRatio < int(span) {
+		slices.SortFunc(acc, func(a, b VMsg[T]) int { return int(a.V) - int(b.V) })
+		return acc
+	}
+	out := fd.out[:0]
+	if copies {
+		out = fd.sweep(out, owned, owned+fd.below)
+	}
+	out = fd.sweep(out, 0, owned)
+	if copies {
+		out = fd.sweep(out, owned+fd.below, span)
+	}
 	fd.out = out
+	return out
+}
+
+// sweep appends the entries folded this generation for slots [lo, hi),
+// in slot order.
+func (fd *Folder[T]) sweep(out []VMsg[T], lo, hi int32) []VMsg[T] {
+	gen, cur := fd.gen[lo:hi], fd.cur
+	for i, g := range gen {
+		if g == cur {
+			out = append(out, fd.acc[fd.pos[lo+int32(i)]])
+		}
+	}
 	return out
 }
 

@@ -9,13 +9,13 @@ import (
 
 // Session is the resident half of the serving plane: it owns the shared
 // read-only state of a loaded graph — the partitioned fragments, their
-// CSR rows, slot tables, border sets and routing index — and executes
+// CSR rows, local CSRs, border sets and routing index — and executes
 // any number of queries over it, concurrently or in sequence. The state
 // split is strict:
 //
 //	shared, immutable   partition.Partitioned (graph CSR, Ranges, owner
 //	                    table, holder index), every Fragment (border
-//	                    sets, slot tables)
+//	                    sets, local CSR)
 //	per query           the engine built by Query: Programs and their
 //	                    vertex-state arenas, Contexts, Folders, inboxes,
 //	                    message pools, the coordinator, the Result

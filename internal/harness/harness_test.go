@@ -34,13 +34,14 @@ func makespans(t *testing.T, out string) map[string]float64 {
 }
 
 // TestIngestReport smoke-tests the self-contained ingest experiment:
-// the scaling rows and both slot-table representations must appear.
+// the scaling rows and the partition row's local-target bytes must
+// appear.
 func TestIngestReport(t *testing.T) {
 	out, err := harness.Ingest("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"read shards=1", "read shards=8", "hybrid", "dense", "edges/s"} {
+	for _, want := range []string{"read shards=1", "read shards=8", "local targets", "routing total", "edges/s"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ingest report missing %q:\n%s", want, out)
 		}

@@ -25,8 +25,8 @@ func withShards(shards int, fn func()) {
 // → chunked parallel parse → partitioned fragments. It reports a
 // forced-shard scaling row (cores 1/2/4/8 via par.Override — on a
 // machine with fewer cores the extra rows measure fan-out overhead, not
-// speedup) and one partition row: the bytes of the slot tables each
-// fragment chose by size, and how many went dense versus hybrid. With
+// speedup) and one partition row: the bytes of the fragment-local CSR
+// targets and of the routing structures in total. With
 // an empty inputPath it writes the friendster and traffic stand-ins to
 // temp files first, so the run is self-contained;
 // cmd/aapbench exposes it as -exp ingest [-input file].
@@ -90,9 +90,8 @@ func Ingest(inputPath string) (string, error) {
 		if perr != nil {
 			return "", perr
 		}
-		dense := p.DenseSlotFragments()
-		fmt.Fprintf(&b, "  partition m=16: %7.3fs  slot tables %8.3f MB (%d dense, %d hybrid)  routing total %8.3f MB\n",
-			secs, float64(p.SlotTableBytes())/(1<<20), dense, p.M-dense, float64(p.RoutingTableBytes())/(1<<20))
+		fmt.Fprintf(&b, "  partition m=16: %7.3fs  local targets %8.3f MB  routing total %8.3f MB\n",
+			secs, float64(p.SlotTableBytes())/(1<<20), float64(p.RoutingTableBytes())/(1<<20))
 	}
 	return b.String(), nil
 }

@@ -44,8 +44,8 @@ const (
 )
 
 // computeBorders fills the four border sets of each fragment from the
-// renumbered graph, assigns F.O copy slots, and builds the CSR holder
-// index.
+// renumbered graph, builds each fragment's local CSR over its F.O copy
+// slots, and builds the CSR holder index.
 func (p *Partitioned) computeBorders() {
 	n := p.G.NumVertices()
 	words := (n + 63) / 64
@@ -82,12 +82,12 @@ func (p *Partitioned) computeBorders() {
 	})
 
 	// Compact each fragment's bitsets into the sorted border slices and
-	// build its copy-slot table. Compaction cost is dominated by the
-	// border sizes, not the fragment count, so fragments are scheduled
-	// largest-first from a shared counter: a single huge-F.O straggler
-	// starts immediately while the small fragments pack around it,
-	// instead of serializing whatever a fragment-strided split queued
-	// behind it.
+	// translate its owned rows into the local CSR. Compaction cost is
+	// dominated by the border sizes, not the fragment count, so
+	// fragments are scheduled largest-first from a shared counter: a
+	// single huge-F.O straggler starts immediately while the small
+	// fragments pack around it, instead of serializing whatever a
+	// fragment-strided split queued behind it.
 	weight := make([]int, p.M)
 	order := make([]int, p.M)
 	for i := range order {
@@ -106,6 +106,7 @@ func (p *Partitioned) computeBorders() {
 	}
 	var nextFrag atomic.Int32
 	par.Do(cprocs, func(int) {
+		var slotOf []int32 // this goroutine's buildLocal scratch, length n
 		for {
 			oi := int(nextFrag.Add(1)) - 1
 			if oi >= p.M {
@@ -117,7 +118,10 @@ func (p *Partitioned) computeBorders() {
 			f.OutPrime = collectBitsN(bitset(i, kOutPrime), cnts[i*kinds+kOutPrime])
 			f.Out = collectBitsN(bitset(i, kOut), cnts[i*kinds+kOut])
 			f.InPrime = collectBitsN(bitset(i, kInPrime), cnts[i*kinds+kInPrime])
-			f.buildSlots(n)
+			if slotOf == nil && len(f.Out) > 0 {
+				slotOf = make([]int32, n)
+			}
+			f.buildLocal(slotOf)
 		}
 	})
 

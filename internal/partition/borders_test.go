@@ -22,8 +22,8 @@ func forceBorderShards(t *testing.T, p int) {
 
 // TestBordersMatchMapReference is the differential test pinning the
 // bitset border pipeline to the retained map-based implementation:
-// identical sorted border sets, identical slot assignment, identical
-// holder lists — across directed and undirected graphs, self-loops,
+// identical sorted border sets, identical slot assignment and local
+// CSR targets, identical holder lists — across directed and undirected graphs, self-loops,
 // parallel edges, every strategy, and m=1 (empty borders).
 func TestBordersMatchMapReference(t *testing.T) {
 	type tc struct {
@@ -114,6 +114,15 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 				t.Fatalf("%s: frag %d Slot(%d) = %d, want %d", tag, i, v, got, w)
 			}
 		}
+		// Local CSR: every owned row's targets through the same map.
+		for s := int32(0); s < base; s++ {
+			local := f.LocalOut(s)
+			for e, u := range p.G.Out(f.Lo + s) {
+				if w, ok := want[u]; !ok || local[e] != w {
+					t.Fatalf("%s: frag %d LocalOut(%d)[%d] = %d, want slot of %d (%d)", tag, i, s, e, local[e], u, w)
+				}
+			}
+		}
 	}
 	n := int32(p.G.NumVertices())
 	for v := int32(-2); v < n+2; v++ {
@@ -134,7 +143,7 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 // compaction schedule on the case it exists for: a partition where one
 // fragment's border sets dwarf the rest (hub-heavy power-law graph,
 // skewed strategy). The schedule only reorders work, so every border
-// set, slot table, and holder list must still match the map reference
+// set, local CSR, and holder list must still match the map reference
 // — under single- and multi-worker compaction.
 func TestSkewedCompactionMatchesReference(t *testing.T) {
 	g := gen.PowerLaw(1500, 10, 2.0, true, 41)

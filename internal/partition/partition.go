@@ -8,6 +8,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aap/internal/graph"
@@ -46,12 +47,9 @@ type Fragment struct {
 	Out      []int32
 	InPrime  []int32
 
-	// Owned vertices map arithmetically (v - Lo). The F.O copy set
-	// resolves through exactly one of slot, a dense length-n array, or
-	// copySlots, a compact open-addressed table — whichever is smaller
-	// for this fragment (slots.go).
-	copySlots flatSlots
-	slot      []int32
+	// local holds the owned rows' out-targets as local slots, the
+	// fragment-local CSR read through LocalOut (local.go).
+	local []int32
 
 	p *Partitioned
 }
@@ -83,19 +81,17 @@ func (f *Fragment) Slots() int { return f.NumOwned() + len(f.Out) }
 // to [0, NumOwned) and F.O copies to [NumOwned, Slots). It returns -1
 // when v is neither owned nor a copy, including synthetic ids outside
 // the graph's vertex range (SendTo's arbitrary routing). Owned vertices
-// resolve with two compares, copies with one load from the dense array
-// or one probe of the compact table.
+// resolve with two compares, copies by binary search over the sorted
+// F.O; edge loops never pay it, since LocalOut carries their targets
+// already translated.
 func (f *Fragment) Slot(v int32) int32 {
 	if v >= f.Lo && v < f.Hi {
 		return v - f.Lo
 	}
-	if f.slot != nil {
-		if v < 0 || int(v) >= len(f.slot) {
-			return -1
-		}
-		return f.slot[v]
+	if i, ok := slices.BinarySearch(f.Out, v); ok {
+		return int32(f.NumOwned() + i)
 	}
-	return f.copySlots.get(v)
+	return -1
 }
 
 // Graph returns the renumbered global graph the fragment views.
@@ -109,7 +105,7 @@ func (f *Fragment) Partitioned() *Partitioned { return f.p }
 // [Ranges[i], Ranges[i+1]).
 //
 // Immutability contract: after Build returns, a Partitioned — the
-// graph, ranges, owner/routing tables, per-fragment slot tables and
+// graph, ranges, owner/routing tables, per-fragment local CSRs and
 // border sets — is read-only. This is what lets core.Session share one
 // Partitioned across concurrently executing queries with no locking:
 // per-query state lives entirely in the engine's vertex arenas, never

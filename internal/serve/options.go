@@ -7,7 +7,7 @@
 // trained-once collaborative-filtering recommendation path.
 //
 // The package splits responsibilities with core cleanly: core.Session
-// owns the shared immutable plane (fragments, slot tables, routing) and
+// owns the shared immutable plane (fragments, local CSRs, routing) and
 // the per-query engine runs; serve decides WHEN and in WHAT SHAPE those
 // runs happen.
 package serve
