@@ -265,12 +265,6 @@ func (p *program) sendCopies(ctx *core.Context[int64], k int) {
 		return
 	}
 	owned := p.f.NumOwned()
-	if k <= 1 {
-		for i, v := range p.f.Out {
-			ctx.Send(v, p.cid[p.comp[owned+i].Load()].Load())
-		}
-		return
-	}
 	stages := ctx.Stages(k)
 	par.Do(k, func(w int) {
 		st := stages[w]
@@ -316,15 +310,6 @@ func (p *program) IncEval(msgs []core.VMsg[int64], ctx *core.Context[int64]) {
 	}
 	kk := p.kernelShards(span)
 	p.bounds = par.ChunksByWork(roots, kk, p.bounds, copies)
-	if kk <= 1 {
-		for _, r := range roots {
-			ctx.AddWork(len(p.copiesOf[r]))
-			for _, v := range p.copiesOf[r] {
-				ctx.Send(v, p.cid[r].Load())
-			}
-		}
-		return
-	}
 	stages := ctx.Stages(kk)
 	par.Do(kk, func(w int) {
 		st := stages[w]

@@ -265,32 +265,23 @@ func (p *program) ship(ctx *core.Context[Val]) {
 	if k == 0 {
 		k = par.Kernel(int64(nOut) * int64(p.cfg.Rank))
 	}
-	sendCopy := func(send func(v int32, val Val), i int) {
-		v := p.f.Out[i]
-		s := base + int32(i)
-		w := p.weight[s]
-		if w == 0 || p.factor[s] == nil {
-			return
-		}
-		vec := make([]float64, p.cfg.Rank)
-		for k := range vec {
-			vec[k] = p.factor[s][k] * w
-		}
-		send(v, Val{Vec: vec, Weight: w, TS: ts})
-	}
-	if k <= 1 {
-		for i := range p.f.Out {
-			sendCopy(ctx.Send, i)
-		}
-	} else {
-		stages := ctx.Stages(k)
-		par.Do(k, func(w int) {
-			for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
-				sendCopy(stages[w].Send, i)
+	stages := ctx.Stages(k)
+	par.Do(k, func(shard int) {
+		st := stages[shard]
+		for i := shard * nOut / k; i < (shard+1)*nOut/k; i++ {
+			s := base + int32(i)
+			w := p.weight[s]
+			if w == 0 || p.factor[s] == nil {
+				continue
 			}
-		})
-		ctx.MergeStages()
-	}
+			vec := make([]float64, p.cfg.Rank)
+			for r := range vec {
+				vec[r] = p.factor[s][r] * w
+			}
+			st.Send(p.f.Out[i], Val{Vec: vec, Weight: w, TS: ts})
+		}
+	})
+	ctx.MergeStages()
 	// Owned products with remote copies broadcast their canonical value.
 	for _, v := range p.f.In {
 		s := p.f.Slot(v)

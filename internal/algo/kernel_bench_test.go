@@ -78,7 +78,6 @@ func BenchmarkKernelCC(b *testing.B) {
 func BenchmarkKernelPageRank(b *testing.B) {
 	g := gen.PowerLaw(40000, 8, 2.1, false, 5)
 	p := benchFragment(b, g)
-	b.Run("ref", func(b *testing.B) { benchKernel(b, p, pagerank.RefJob(pagerank.Config{Tol: 1e-4})) })
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			benchKernel(b, p, pagerank.Job(pagerank.Config{Tol: 1e-4, Shards: k}))

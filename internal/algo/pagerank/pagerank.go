@@ -10,15 +10,18 @@
 // floating-point sums remember their addition order: each round consumes
 // the frontier (owned slots whose pending delta crossed Tol) in sorted
 // slot order and applies the pushed shares in that same canonical order.
-// The parallel kernel shards the sweep into contiguous frontier chunks
-// and stages each chunk's shares into per-(source-shard, dest-shard)
-// buckets; the apply phase walks every destination shard's buckets in
-// source-shard order, which replays the exact per-slot addition sequence
-// of the sequential reference — bit-identical results at any shard
-// count.
+// A one-shard round pushes each share directly: it is the sequential
+// reference. A multi-shard round shards the sweep into contiguous
+// frontier chunks and stages each chunk's shares into per-(source-shard,
+// dest-shard) buckets; the apply phase walks every destination shard's
+// buckets in source-shard order, which replays the exact per-slot
+// addition sequence of the one-shard round — bit-identical results at
+// any shard count.
 package pagerank
 
 import (
+	"slices"
+
 	"aap/internal/codec"
 	"aap/internal/core"
 	"aap/internal/graph"
@@ -34,10 +37,10 @@ type Config struct {
 	// parked instead of propagated; 1e-6 when zero. The total parked
 	// residual bounds the L1 error of the fixpoint.
 	Tol float64
-	// Shards forces the kernel shard count: >= 1 runs the parallel
-	// kernel with exactly that many shards (1 exercises it
-	// single-threaded), 0 picks automatically — parallel when the
-	// fragment has enough edges, the sequential reference otherwise.
+	// Shards forces the kernel shard count of every round: >= 1 runs
+	// each round with exactly that many shards, and 1 runs every round
+	// sequentially — the reference the differential tests compare
+	// against. 0 picks per round from the round's edge span.
 	Shards int
 }
 
@@ -55,27 +58,8 @@ func (c Config) withDefaults() Config {
 func Job(cfg Config) core.Job[float64] {
 	cfg = cfg.withDefaults()
 	return core.Job[float64]{
-		Name: "pagerank",
-		New: func(f *partition.Fragment) core.Program[float64] {
-			if cfg.Shards == 0 && par.Kernel(f.Graph().OutSpan(f.Lo, f.Hi)) <= 1 {
-				return newRefProgram(f, cfg)
-			}
-			return newProgram(f, cfg)
-		},
-		Aggregate: func(a, b float64) float64 { return a + b },
-		Bytes:     func(float64) int { return 8 },
-		EncodeVal: codec.AppendFloat64,
-		DecodeVal: (*codec.Reader).Float64,
-	}
-}
-
-// RefJob builds the job over the sequential reference kernel only — the
-// pinned oracle of the differential tests.
-func RefJob(cfg Config) core.Job[float64] {
-	cfg = cfg.withDefaults()
-	return core.Job[float64]{
 		Name:      "pagerank",
-		New:       func(f *partition.Fragment) core.Program[float64] { return newRefProgram(f, cfg) },
+		New:       func(f *partition.Fragment) core.Program[float64] { return newProgram(f, cfg) },
 		Aggregate: func(a, b float64) float64 { return a + b },
 		Bytes:     func(float64) int { return 8 },
 		EncodeVal: codec.AppendFloat64,
@@ -83,10 +67,18 @@ func RefJob(cfg Config) core.Job[float64] {
 	}
 }
 
-// program is the parallel kernel. score and delta are plain slices:
-// every phase partitions its writes (frontier chunks own their consumed
-// slots, destination shards own their slot ranges) and par.Do's barrier
-// orders the phases, so no atomics are needed on the accumulators.
+// contrib is one pushed share staged between a multi-shard round's
+// sweep and apply phases.
+type contrib struct {
+	slot int32
+	val  float64
+}
+
+// program holds per-slot scores and pending deltas; copies (F.O slots)
+// only accumulate deltas destined for other fragments. Every array is a
+// plain slice: each phase partitions its writes (frontier chunks own
+// their consumed slots, destination shards own their bucket columns)
+// and par.Do's barrier orders the phases, so nothing needs atomics.
 type program struct {
 	f   *partition.Fragment
 	g   *graph.Graph
@@ -95,15 +87,18 @@ type program struct {
 	score []float64
 	delta []float64
 
-	// fr is the worklist of owned slots admitted above Tol: admissions
-	// stage per shard, and the sorted Advance at each round start makes
-	// the consume order canonical for any shard count.
-	fr      *par.Frontier
-	buckets [][]contrib // (source shard × dest shard) share staging
-	xs      []float64   // consumed pending mass for the 1-shard path
-	bounds  []int
-	work    []int64
-	rounds  int
+	// inQ flags the owned slots admitted above Tol for the next round,
+	// and next[w] lists the ones shard w admitted. advance splices and
+	// sorts the lists at each round start, which makes the consume
+	// order canonical for any shard count.
+	inQ      []bool
+	next     [][]int32
+	frontier []int32
+	buckets  [][]contrib // (source shard × dest shard) share staging
+	xs       []float64   // consumed pending mass of a one-shard round
+	bounds   []int
+	work     []int64
+	rounds   int
 }
 
 func newProgram(f *partition.Fragment, cfg Config) *program {
@@ -112,7 +107,8 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 		f: f, g: f.Graph(), cfg: cfg,
 		score: make([]float64, n),
 		delta: make([]float64, n),
-		fr:    par.NewFrontier(f.NumOwned(), 1),
+		inQ:   make([]bool, f.NumOwned()),
+		next:  make([][]int32, 1),
 	}
 }
 
@@ -149,61 +145,79 @@ func (p *program) Get(v int32) float64 {
 	return p.score[s] + p.delta[s]
 }
 
-// add accumulates a delta on local slot s from the owning goroutine and
-// admits owned slots crossing Tol to the frontier's shard-0 staging
-// list (sequential callers only).
+// add accumulates a delta on local slot s and admits it on shard 0
+// (sequential callers only).
 func (p *program) add(s int32, d float64) {
 	p.delta[s] += d
-	if s < int32(p.f.NumOwned()) && p.delta[s] > p.cfg.Tol {
-		p.fr.Add(0, s)
+	p.admit(0, s)
+}
+
+// admit stages slot s on shard w's list for the next round if s is
+// owned, not yet admitted, and its pending mass is above Tol. Only the
+// one shard that may write s calls it, so the flag needs no atomics.
+func (p *program) admit(w int, s int32) {
+	if int(s) < len(p.inQ) && !p.inQ[s] && p.delta[s] > p.cfg.Tol {
+		p.inQ[s] = true
+		p.next[w] = append(p.next[w], s)
 	}
 }
 
-// kernelShards resolves the shard count for `work` units this round.
-func (p *program) kernelShards(work int64) int {
-	if p.cfg.Shards > 0 {
-		return p.cfg.Shards
+// advance splices the shard lists into the sorted frontier of the next
+// round and clears the frontier's admission flags.
+func (p *program) advance() []int32 {
+	fr := p.frontier[:0]
+	for w, l := range p.next {
+		fr = append(fr, l...)
+		p.next[w] = l[:0]
 	}
-	return par.Kernel(work)
+	slices.Sort(fr)
+	for _, s := range fr {
+		p.inQ[s] = false
+	}
+	p.frontier = fr
+	return fr
 }
 
-// run executes rounds until the frontier drains. Each round has two
-// barrier-separated parallel phases:
+// run executes rounds until the frontier drains. A one-shard round is
+// runSeqRound; a multi-shard round has two barrier-separated parallel
+// phases:
 //
 //	sweep  — frontier chunk w consumes its slots in order (score += x,
 //	         delta = 0) and stages each pushed share into bucket (w, d)
 //	         where d = ⌊slot·k/n⌋ keys the destination shard;
 //	apply  — destination shard d applies buckets (0,d), (1,d), …, (k-1,d)
 //	         sequentially, so the additions landing on any slot replay
-//	         the frontier-order sequence of the sequential reference.
+//	         the frontier-order sequence of the one-shard round.
 //
-// Advancing the frontier resets its dedup set before any slot is
-// consumed, which is equivalent to the reference's unmark-at-consume:
-// admissions only ever happen in the apply half, after every
-// current-frontier slot has been consumed.
+// advance clears the frontier's admission flags before any slot is
+// consumed, and admissions only ever happen while pushing (the apply
+// phase, or runSeqRound's second pass), after every frontier slot has
+// been consumed.
 func (p *program) run(ctx *core.Context[float64]) {
 	n := len(p.delta)
-	owned := int32(p.f.NumOwned())
+	deg := func(s int32) int64 { return int64(p.g.OutDegree(p.f.Lo+s)) + 1 }
 	for {
-		frontier := p.fr.Advance(true) // sorted: canonical for any shard count
+		frontier := p.advance()
 		if len(frontier) == 0 {
 			return
 		}
 		p.rounds++
 
-		deg := func(s int32) int64 { return int64(p.g.OutDegree(p.f.Lo+s)) + 1 }
-		var span int64
-		for _, s := range frontier {
-			span += deg(s)
+		k := p.cfg.Shards
+		if k == 0 {
+			var span int64
+			for _, s := range frontier {
+				span += deg(s)
+			}
+			k = par.Kernel(span)
 		}
-		k := p.kernelShards(span)
 		if k <= 1 {
-			// Single-shard rounds push directly, two passes in frontier
-			// order — the reference discipline, no bucket staging.
 			p.runSeqRound(frontier, ctx)
 			continue
 		}
-		p.fr.EnsureShards(k)
+		for len(p.next) < k {
+			p.next = append(p.next, nil)
+		}
 		p.bounds = par.ChunksByWork(frontier, k, p.bounds, deg)
 		for len(p.buckets) < k*k {
 			p.buckets = append(p.buckets, nil)
@@ -253,20 +267,21 @@ func (p *program) run(ctx *core.Context[float64]) {
 			for w := 0; w < k; w++ {
 				for _, c := range p.buckets[w*k+d] {
 					p.delta[c.slot] += c.val
-					if c.slot < owned && p.delta[c.slot] > p.cfg.Tol {
-						p.fr.Add(d, c.slot)
-					}
+					p.admit(d, c.slot)
 				}
 			}
 		})
 	}
 }
 
-// runSeqRound consumes the sorted frontier and pushes its shares
-// directly in frontier order — bit-identical to the staged two-phase
-// round at any shard count, without the bucket traffic.
+// runSeqRound is the one-shard round and the sequential reference:
+// consume the sorted frontier in slot order (fold pending deltas into
+// scores), then walk it again in the same order pushing each share
+// directly. The two passes matter: consuming everything before pushing
+// anything means a frontier member's consumed mass never includes
+// same-round contributions, which is what lets the staged round apply
+// its buckets after a barrier and land on identical bits.
 func (p *program) runSeqRound(frontier []int32, ctx *core.Context[float64]) {
-	owned := int32(p.f.NumOwned())
 	xs := p.xs[:0]
 	for _, s := range frontier {
 		x := p.delta[s]
@@ -285,9 +300,7 @@ func (p *program) runSeqRound(frontier []int32, ctx *core.Context[float64]) {
 		share := p.cfg.Damping * xs[i] / float64(len(out))
 		for _, us := range out {
 			p.delta[us] += share
-			if us < owned && p.delta[us] > p.cfg.Tol {
-				p.fr.Add(0, us)
-			}
+			p.admit(0, us)
 		}
 	}
 	ctx.AddWork(int(work))

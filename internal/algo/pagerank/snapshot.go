@@ -11,10 +11,9 @@ import (
 	"fmt"
 
 	"aap/internal/codec"
-	"aap/internal/par"
 )
 
-// SnapshotState serializes the parallel kernel's durable state.
+// SnapshotState serializes the kernel's durable state.
 func (p *program) SnapshotState() []byte {
 	buf := make([]byte, 0, 16*len(p.score)+16)
 	buf = codec.AppendFloat64s(buf, p.score)
@@ -23,7 +22,7 @@ func (p *program) SnapshotState() []byte {
 	return buf
 }
 
-// RestoreState rewinds the parallel kernel to a snapshot.
+// RestoreState rewinds the kernel to a snapshot.
 func (p *program) RestoreState(data []byte) error {
 	r := codec.NewReader(data)
 	score := r.Float64s()
@@ -38,40 +37,13 @@ func (p *program) RestoreState(data []byte) error {
 	copy(p.score, score)
 	copy(p.delta, delta)
 	p.rounds = int(rounds)
-	p.fr = par.NewFrontier(p.f.NumOwned(), 1)
+	clear(p.inQ)
+	for w := range p.next {
+		p.next[w] = p.next[w][:0]
+	}
+	p.frontier = p.frontier[:0]
 	for i := range p.buckets {
 		p.buckets[i] = p.buckets[i][:0]
 	}
-	return nil
-}
-
-// SnapshotState serializes the sequential reference kernel's durable
-// state.
-func (p *refProgram) SnapshotState() []byte {
-	buf := make([]byte, 0, 16*len(p.score)+16)
-	buf = codec.AppendFloat64s(buf, p.score)
-	buf = codec.AppendFloat64s(buf, p.delta)
-	buf = codec.AppendInt64(buf, int64(p.rounds))
-	return buf
-}
-
-// RestoreState rewinds the sequential reference kernel to a snapshot.
-func (p *refProgram) RestoreState(data []byte) error {
-	r := codec.NewReader(data)
-	score := r.Float64s()
-	delta := r.Float64s()
-	rounds := r.Int64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(score) != len(p.score) || len(delta) != len(p.delta) {
-		return fmt.Errorf("pagerank: snapshot has %d/%d slots, fragment has %d", len(score), len(delta), len(p.score))
-	}
-	copy(p.score, score)
-	copy(p.delta, delta)
-	p.rounds = int(rounds)
-	clear(p.inQ)
-	p.frontier = p.frontier[:0]
-	p.next = p.next[:0]
 	return nil
 }

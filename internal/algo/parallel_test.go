@@ -146,7 +146,7 @@ func TestCCParallelKernelMatchesRef(t *testing.T) {
 }
 
 // TestPageRankParallelKernelMatchesRef: the parallel edge sweep's
-// (source-shard, dest-shard) staging must replay the sequential
+// (source-shard, dest-shard) staging must replay the one-shard round's
 // contribution order exactly — a sum fixpoint, so any reordering would
 // change low-order bits and fail this test.
 func TestPageRankParallelKernelMatchesRef(t *testing.T) {
@@ -156,7 +156,7 @@ func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tol := range []float64{1e-6, 1e-10} {
-			want := peval(t, p, pagerank.RefJob(pagerank.Config{Tol: tol}))
+			want := peval(t, p, pagerank.Job(pagerank.Config{Tol: tol, Shards: 1}))
 			for _, k := range kernelShardCounts {
 				got := peval(t, p, pagerank.Job(pagerank.Config{Tol: tol, Shards: k}))
 				bitsEqualF64(t, fmt.Sprintf("pagerank/%s/tol=%g/shards=%d", name, tol, k), got, want)
@@ -182,10 +182,9 @@ func simValues[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]) [
 // TestParallelKernelsMatchRefUnderSim: end-to-end differential through
 // the simulator with real multi-fragment message traffic. SSSP and CC
 // converge to unique exact-min fixpoints, so ref and parallel runs must
-// agree bitwise even though their round structures differ. PageRank is
-// compared across shard counts of the same kernel (its per-round message
-// content is deterministic for any shard count); the work profile of the
-// ref kernel is identical, so ref is included too.
+// agree bitwise even though their round structures differ. PageRank's
+// reference is its own one-shard round: per-round message content is
+// deterministic for any shard count.
 func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 	g := gen.PowerLaw(500, 5, 2.1, true, 23)
 	und := graph.AsUndirected(g)
@@ -201,7 +200,7 @@ func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 
 		wantS := simValues(t, p, sssp.RefJob(0))
 		wantC := simValues(t, pu, cc.RefJob())
-		wantP := simValues(t, p, pagerank.RefJob(pagerank.Config{Tol: 1e-8}))
+		wantP := simValues(t, p, pagerank.Job(pagerank.Config{Tol: 1e-8, Shards: 1}))
 		for _, k := range kernelShardCounts {
 			bitsEqualF64(t, fmt.Sprintf("sim/sssp/m=%d/shards=%d", m, k),
 				simValues(t, p, sssp.JobShards(0, k)), wantS)

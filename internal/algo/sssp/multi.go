@@ -286,31 +286,22 @@ func (p *multiProgram) flushBorder(ctx *core.Context[[]float64]) {
 		return
 	}
 	owned := p.f.NumOwned()
-	sendCopy := func(send func(v int32, val []float64), i int) {
-		base := (owned + i) * p.k
-		vec := make([]float64, p.k)
-		for l := range vec {
-			vec[l] = math.Float64frombits(p.dist[base+l].Load())
-		}
-		send(p.f.Out[i], vec)
-	}
 	k := p.kernelShards(int64(nOut) * int64(p.k))
-	if k <= 1 {
-		for i := range p.f.Out {
-			if p.copyChanged.Marked(int32(i)) {
-				sendCopy(ctx.Send, i)
+	stages := ctx.Stages(k)
+	par.Do(k, func(w int) {
+		st := stages[w]
+		for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
+			if !p.copyChanged.Marked(int32(i)) {
+				continue
 			}
+			base := (owned + i) * p.k
+			vec := make([]float64, p.k)
+			for l := range vec {
+				vec[l] = math.Float64frombits(p.dist[base+l].Load())
+			}
+			st.Send(p.f.Out[i], vec)
 		}
-	} else {
-		stages := ctx.Stages(k)
-		par.Do(k, func(w int) {
-			for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
-				if p.copyChanged.Marked(int32(i)) {
-					sendCopy(stages[w].Send, i)
-				}
-			}
-		})
-		ctx.MergeStages()
-	}
+	})
+	ctx.MergeStages()
 	p.copyChanged.Reset()
 }

@@ -352,23 +352,15 @@ func flushAtomicCopies(ctx *core.Context[float64], f *partition.Fragment, dist [
 		return
 	}
 	owned := int32(f.NumOwned())
-	if k <= 1 {
-		for i, v := range f.Out {
+	stages := ctx.Stages(k)
+	par.Do(k, func(w int) {
+		st := stages[w]
+		for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
 			if changed.Marked(int32(i)) {
-				ctx.Send(v, math.Float64frombits(dist[owned+int32(i)].Load()))
+				st.Send(f.Out[i], math.Float64frombits(dist[owned+int32(i)].Load()))
 			}
 		}
-	} else {
-		stages := ctx.Stages(k)
-		par.Do(k, func(w int) {
-			st := stages[w]
-			for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
-				if changed.Marked(int32(i)) {
-					st.Send(f.Out[i], math.Float64frombits(dist[owned+int32(i)].Load()))
-				}
-			}
-		})
-		ctx.MergeStages()
-	}
+	})
+	ctx.MergeStages()
 	changed.Reset()
 }

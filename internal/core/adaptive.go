@@ -221,9 +221,6 @@ func NextRoundTimeEWMA(prev, dur float64) float64 {
 	return 0.5*prev + 0.5*dur
 }
 
-// nextRoundTimeEWMA is the package-internal alias used by the engine.
-func nextRoundTimeEWMA(prev, dur float64) float64 { return NextRoundTimeEWMA(prev, dur) }
-
 // hsyncState is the shared phase of an Hsync run: every worker consults
 // it, and the phase flips between AP and BSP on a throughput window, the
 // PowerSwitch heuristic. Mode switches are whole-cluster, which is
@@ -248,7 +245,7 @@ func newHsyncState(window int32) *hsyncState {
 // observe is called by workers as rounds complete; it flips the phase
 // when the current phase processes fewer messages per window than the
 // previous one did.
-func (h *hsyncState) observe(rmax int32, consumed int64) {
+func (h *hsyncState) observe(rmax int32) {
 	last := h.lastSwitch.Load()
 	if rmax-last < h.windowRounds {
 		return
@@ -261,7 +258,6 @@ func (h *hsyncState) observe(rmax int32, consumed int64) {
 	if prev > 0 && score < prev {
 		h.bspPhase.Store(!h.bspPhase.Load())
 	}
-	_ = consumed
 }
 
 // hsyncController follows the shared phase: BSP semantics during BSP

@@ -177,10 +177,10 @@ func TestHsyncPhaseFlipsOnThroughputDrop(t *testing.T) {
 	}
 	// Window 1: high throughput.
 	h.processed.Add(100)
-	h.observe(2, 0)
+	h.observe(2)
 	// Window 2: throughput collapse triggers a phase flip.
 	h.processed.Add(10)
-	h.observe(4, 0)
+	h.observe(4)
 	if !h.bspPhase.Load() {
 		t.Fatal("phase did not flip after throughput drop")
 	}

@@ -1,9 +1,9 @@
 package core
 
 // ControllerSet builds the per-worker delay-stretch controllers for a run
-// together with the shared state that Hsync mode needs. It is the facade
-// through which engines outside this package (the virtual-time simulator)
-// instantiate the same δ functions the concurrent engine uses.
+// together with the shared state that Hsync mode needs. Both the
+// concurrent engine and the virtual-time simulator build their
+// controllers through it, so they run the same δ functions.
 type ControllerSet struct {
 	ctrls []Controller
 	hsync *hsyncState
@@ -36,6 +36,6 @@ func (s *ControllerSet) ObserveConsumed(n int64) {
 // no-op for other modes.
 func (s *ControllerSet) ObserveRound(rmax int32) {
 	if s.hsync != nil {
-		s.hsync.observe(rmax, 0)
+		s.hsync.observe(rmax)
 	}
 }

@@ -111,9 +111,7 @@ func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeSt
 	e.coord.init(p.M, e)
 	e.plane = &inprocPlane[T]{e}
 	e.clink = &inprocLink[T]{e}
-	if opts.Mode == Hsync {
-		e.hsync = newHsyncState(opts.HsyncWindow)
-	}
+	e.ctrls = NewControllerSet(opts, p.M)
 	if opts.Checkpoint.EveryRounds > 0 || rs != nil {
 		e.ckpt = checkpoint.NewStore[VMsg[T]](p.M)
 	}
@@ -132,7 +130,7 @@ func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeSt
 			frag:       f,
 			prog:       job.New(f),
 			ctx:        newContext[T](f, p.M, &e.pool),
-			ctrl:       newController(opts, e.hsync),
+			ctrl:       e.ctrls.Controller(i),
 			folder:     NewFolder[T](f),
 			originSeen: make([]int32, p.M),
 			originGen:  1,
@@ -282,7 +280,7 @@ type engine[T any] struct {
 	workers []*worker[T]
 	slots   chan struct{} // physical-worker pool
 	coord   coordinator
-	hsync   *hsyncState
+	ctrls   *ControllerSet
 	pool    msgPool[T]    // recycles message slices between senders and receivers
 	done    chan struct{} // closed when the run ends (success or failure)
 
@@ -869,9 +867,7 @@ func (w *worker[T]) drain() {
 	w.inbox.release(bs)
 	w.stats.MsgsRecv += int64(n)
 	w.eng.clink.addConsumed(w.id, int64(n))
-	if w.eng.hsync != nil {
-		w.eng.hsync.processed.Add(int64(n))
-	}
+	w.eng.ctrls.ObserveConsumed(int64(n))
 	now := time.Now()
 	dt := now.Sub(w.lastDrain).Seconds()
 	w.lastDrain = now
@@ -946,7 +942,7 @@ func (w *worker[T]) execRound(peval bool) {
 	<-e.slots
 
 	w.stats.BusySeconds += dur
-	w.roundTimeEWMA = nextRoundTimeEWMA(w.roundTimeEWMA, dur)
+	w.roundTimeEWMA = NextRoundTimeEWMA(w.roundTimeEWMA, dur)
 	atomic.StoreUint64(&e.roundTimes[w.id], math.Float64bits(w.roundTimeEWMA))
 	out, work := w.ctx.takeOut()
 	w.stats.Work += work
@@ -1004,8 +1000,8 @@ func (w *worker[T]) execRound(peval bool) {
 			}
 		}
 	}
-	if e.hsync != nil {
+	if e.ctrls.hsync != nil {
 		_, rmax := e.clink.view(w.id)
-		e.hsync.observe(rmax, 0)
+		e.ctrls.ObserveRound(rmax)
 	}
 }

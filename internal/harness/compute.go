@@ -107,6 +107,8 @@ func Compute(ssspDelta float64) (string, error) {
 		ds.Name, ds.Graph.NumVertices(), ds.Graph.NumEdges(), runtime.GOMAXPROCS(0))
 	b.WriteString("(shard rows beyond the core count measure fan-out overhead, not speedup)\n")
 
+	// ref is the retained sequential kernel, nil when the shards=1 row
+	// already is the sequential reference (PageRank's one-shard round).
 	type row struct {
 		name string
 		run  func(shards int) kernelRun
@@ -128,14 +130,13 @@ func Compute(ssspDelta float64) (string, error) {
 			run: func(k int) kernelRun {
 				return runKernel(p, pagerank.Job(pagerank.Config{Tol: 1e-4, Shards: k}))
 			},
-			ref: func() kernelRun {
-				return runKernel(p, pagerank.RefJob(pagerank.Config{Tol: 1e-4}))
-			},
 		},
 	}
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%s:\n", r.name)
-		kernelRow(&b, "seq ref", r.ref())
+		if r.ref != nil {
+			kernelRow(&b, "seq ref", r.ref())
+		}
 		for _, k := range computeShardCounts {
 			kernelRow(&b, fmt.Sprintf("shards=%d", k), r.run(k))
 		}

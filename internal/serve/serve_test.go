@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,5 +208,50 @@ func TestRecommendTopK(t *testing.T) {
 	bare := New(p)
 	if _, _, err := bare.Recommend(0, 5); !errors.Is(err, ErrNoCF) {
 		t.Fatalf("err = %v, want ErrNoCF", err)
+	}
+}
+
+// TestRecommendRetriesAfterShedTraining: a training attempt shed by
+// admission control is not cached — once the queue drains, the next
+// Recommend calls train exactly once between them and all answer.
+func TestRecommendRetriesAfterShedTraining(t *testing.T) {
+	const users, products = 60, 20
+	r := gen.Bipartite(users, products, 6, 4, 1.0, 3)
+	p := buildPartition(t, r.G, 2)
+	srv := New(p, WithCF(cf.Config{Users: users, Products: products, Rank: 4, Epochs: 4, Seed: 5}))
+
+	srv.waiting.Store(int64(srv.cfg.queueDepth))
+	if _, _, err := srv.Recommend(0, 3); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded with a full wait queue", err)
+	}
+	srv.waiting.Store(0)
+
+	const callers = 4
+	recs := make([][]Rec, callers)
+	stats := make([]core.RunStats, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i], stats[i], errs[i] = srv.Recommend(0, 3)
+		}()
+	}
+	wg.Wait()
+	trained := 0
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d after shed training: %v", i, errs[i])
+		}
+		if len(recs[i]) == 0 || !slices.Equal(recs[i], recs[0]) {
+			t.Fatalf("caller %d got %v, caller 0 got %v", i, recs[i], recs[0])
+		}
+		if stats[i].SumRounds > 0 {
+			trained++
+		}
+	}
+	if trained != 1 {
+		t.Fatalf("%d callers reported a training run, want exactly 1", trained)
 	}
 }

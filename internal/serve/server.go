@@ -43,11 +43,12 @@ type Server struct {
 	pending []*ssspReq
 	timer   *time.Timer
 
-	// CF factors, trained on first Recommend.
-	cfOnce sync.Once
-	cfErr  error
-	userF  [][]float64
-	prodF  [][]float64
+	// CF factors, trained by the first Recommend whose training run
+	// succeeds; cfMu serializes training attempts.
+	cfMu      sync.Mutex
+	cfTrained bool
+	userF     [][]float64
+	prodF     [][]float64
 
 	rejected       atomic.Int64
 	batches        atomic.Int64
@@ -100,7 +101,6 @@ func (s *Server) runOpts() core.Options {
 		Mode:            s.cfg.mode,
 		PhysicalWorkers: s.cfg.njobs,
 		Deadline:        s.cfg.deadline,
-		Staleness:       s.cfg.staleness,
 	}
 }
 
@@ -266,6 +266,43 @@ func direct[T any](s *Server, name string, job core.Job[T]) ([]T, core.RunStats,
 	return vals, st, err
 }
 
+// cfStaleness is the staleness bound of the CF training run:
+// distributed SGD wants bounded staleness under AAP.
+const cfStaleness = 4
+
+// trainCF trains the CF factors unless an earlier call already did, and
+// returns the stats of the training run it performed (zero otherwise).
+// Concurrent callers queue on cfMu while the run waits for its permit,
+// as they would behind the run itself; no permit holder takes cfMu, so
+// holding it across acquire cannot deadlock.
+func (s *Server) trainCF() (core.RunStats, error) {
+	s.cfMu.Lock()
+	defer s.cfMu.Unlock()
+	if s.cfTrained {
+		return core.RunStats{}, nil
+	}
+	release, wait, err := s.acquire()
+	if err != nil {
+		return core.RunStats{}, err
+	}
+	defer release()
+	t0 := time.Now()
+	opts := s.runOpts()
+	opts.Staleness = cfStaleness
+	res, err := core.Query(s.sess, cf.Job(*s.cfg.cfConfig), opts)
+	seconds := time.Since(t0).Seconds()
+	if err != nil {
+		return core.RunStats{}, err
+	}
+	st := res.Stats
+	st.QueueWaitSeconds = wait.Seconds()
+	st.BatchSize = 1
+	s.logQuery("cf-train", seconds, &st, nil)
+	s.userF, s.prodF = cf.Factors(s.sess.Partitioned(), res.Values, *s.cfg.cfConfig)
+	s.cfTrained = true
+	return st, nil
+}
+
 // Rec is one recommendation: a product index (0-based, before the user
 // offset) and its predicted rating.
 type Rec struct {
@@ -276,39 +313,15 @@ type Rec struct {
 // Recommend returns the top-k unrated products for a user by predicted
 // rating. The first call trains the latent factors with one engine run
 // (bounded-staleness SGD); later calls only read the trained model and
-// the user's adjacency, so they are admission-free.
+// the user's adjacency, so they are admission-free. A training attempt
+// that is shed or fails is not cached: the next call trains again.
 func (s *Server) Recommend(user, k int) ([]Rec, core.RunStats, error) {
 	if s.cfg.cfConfig == nil {
 		return nil, core.RunStats{}, ErrNoCF
 	}
-	var trainStats core.RunStats
-	s.cfOnce.Do(func() {
-		release, wait, err := s.acquire()
-		if err != nil {
-			s.cfErr = err
-			// Leave cfOnce spent: an overloaded server stays untrained
-			// only for this process; retraining on retry would need a
-			// fresh Once, which a rejected training run does not merit.
-			return
-		}
-		defer release()
-		t0 := time.Now()
-		opts := s.runOpts()
-		opts.Staleness = s.cfg.cfStaleness
-		res, err := core.Query(s.sess, cf.Job(*s.cfg.cfConfig), opts)
-		seconds := time.Since(t0).Seconds()
-		if err != nil {
-			s.cfErr = err
-			return
-		}
-		trainStats = res.Stats
-		trainStats.QueueWaitSeconds = wait.Seconds()
-		trainStats.BatchSize = 1
-		s.logQuery("cf-train", seconds, &trainStats, nil)
-		s.userF, s.prodF = cf.Factors(s.sess.Partitioned(), res.Values, *s.cfg.cfConfig)
-	})
-	if s.cfErr != nil {
-		return nil, core.RunStats{}, s.cfErr
+	trainStats, err := s.trainCF()
+	if err != nil {
+		return nil, core.RunStats{}, err
 	}
 	if user < 0 || user >= len(s.userF) {
 		return nil, trainStats, errors.New("serve: unknown user")
