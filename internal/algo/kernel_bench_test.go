@@ -2,7 +2,8 @@ package algo_test
 
 // Kernel benchmarks: PEval-to-local-fixpoint on one fragment, the
 // per-round scaling axis of BENCH_PR4. Shard rows beyond the core count
-// measure fan-out overhead, not speedup.
+// measure fan-out overhead, not speedup. BenchmarkMultiJob is the one
+// whole-engine run: the served multi-source batch.
 
 import (
 	"fmt"
@@ -81,6 +82,39 @@ func BenchmarkKernelPageRank(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			benchKernel(b, p, pagerank.Job(pagerank.Config{Tol: 1e-4, Shards: k}))
+		})
+	}
+}
+
+// BenchmarkMultiJob runs the served batch shape through the engine: a
+// k-lane MultiJob over an 8-fragment hash partition of the 30k-vertex
+// power-law graph. allocs/op is the per-run allocation count the
+// message and result paths are held to; msgs/op is the message count
+// those allocations would scale with if either path allocated per
+// message.
+func BenchmarkMultiJob(b *testing.B) {
+	g := gen.PowerLaw(30000, 8, 2.1, true, 1)
+	p, err := partition.Build(g, 8, partition.Hash{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 8} {
+		srcs := make([]graph.VertexID, k)
+		for l := range srcs {
+			srcs[l] = graph.VertexID(l * 3001)
+		}
+		job := sssp.MultiJob(sssp.MultiConfig{Sources: srcs})
+		b.Run(fmt.Sprintf("lanes=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			var msgs int64
+			for i := 0; i < b.N; i++ {
+				res, err := core.Run(p, job, core.Options{Mode: core.AAP})
+				if err != nil {
+					b.Fatal(err)
+				}
+				msgs += res.Stats.TotalMsgs
+			}
+			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 		})
 	}
 }

@@ -7,8 +7,11 @@ package algo_test
 // 2x reduction in scanned edges versus the per-source runs for k >= 4.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"aap/internal/algo/sssp"
 	"aap/internal/core"
@@ -134,5 +137,135 @@ func TestMultiSourceSSSPScanAmortization(t *testing.T) {
 		}
 		t.Logf("%s: k=%d amortization %.2fx (%d batched vs %d single)",
 			tc.name, len(clustered), float64(single)/float64(batched), batched, single)
+	}
+}
+
+// TestMultiJobAllocsBoundedByRounds: a 2-lane MultiJob run through the
+// engine allocates per flush, per round and per fragment, never per
+// message or per vertex — so its allocation count stays far below its
+// message count, whatever the rounds.
+func TestMultiJobAllocsBoundedByRounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	g := gen.PowerLaw(6000, 8, 2.1, true, 17)
+	p, err := partition.Build(g, 8, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := sssp.MultiJob(sssp.MultiConfig{Sources: []graph.VertexID{0, 1}})
+	var st core.RunStats
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := core.Run(p, job, core.Options{Mode: core.BSP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = res.Stats
+	})
+	// 64 allocations per worker round cover the round's buffers and
+	// closures; a per-message allocation alone would spend 20x the cap.
+	allowance := 64 * 20 * float64(st.SumRounds)
+	if allocs*20 >= float64(st.TotalMsgs)+allowance {
+		t.Fatalf("%.0f allocs per run for %d messages over %d worker rounds: allocation tracks messages",
+			allocs, st.TotalMsgs, st.SumRounds)
+	}
+	t.Logf("%.0f allocs per run, %d messages, %d worker rounds", allocs, st.TotalMsgs, st.SumRounds)
+}
+
+// TestMultiJobLaneOwnership: the lane vectors a MultiJob program hands
+// out are carved from shared slabs, yet each is owned outright. Folding
+// one slab-carved message vector into another with the job's Aggregate
+// writes only the accumulator's own window, and no Get result aliases
+// another one: writing it changes no other result, and a later Get of
+// the same vertex neither sees the write nor undoes it.
+func TestMultiJobLaneOwnership(t *testing.T) {
+	g := gen.PowerLaw(600, 8, 2.1, true, 23)
+	p, err := partition.Build(g, 4, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.Frags[0]
+	srcs := []graph.VertexID{p.G.IDOf(f.Lo), p.G.IDOf(f.Lo + 1)}
+	k := len(srcs)
+	job := sssp.MultiJob(sssp.MultiConfig{Sources: srcs, Shards: 1})
+	prog := job.New(f)
+	ctx := core.NewEngineContext[[]float64](f, p.M)
+	prog.PEval(ctx)
+	out, _ := ctx.TakeOut()
+
+	// Order the message vectors by address; neighbours in that order
+	// that touch end to start share a slab.
+	var vecs [][]float64
+	for _, msgs := range out {
+		for _, m := range msgs {
+			if len(m.Val) != k || cap(m.Val) != k {
+				t.Fatalf("message vector len %d cap %d, want %d", len(m.Val), cap(m.Val), k)
+			}
+			vecs = append(vecs, m.Val)
+		}
+	}
+	addr := func(v []float64) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(v))) }
+	slices.SortFunc(vecs, func(a, b []float64) int { return cmp.Compare(addr(a), addr(b)) })
+	snapshot := func() [][]float64 {
+		c := make([][]float64, len(vecs))
+		for i, v := range vecs {
+			c[i] = slices.Clone(v)
+		}
+		return c
+	}
+	adjacent, lowered := 0, 0
+	for i := 0; i+1 < len(vecs); i++ {
+		acc, next := vecs[i], vecs[i+1]
+		if addr(acc)+uintptr(8*k) != addr(next) {
+			continue
+		}
+		adjacent++
+		for _, other := range [][]float64{next, make([]float64, 2*k)} {
+			before := snapshot()
+			job.Aggregate(acc, other)
+			for j, v := range vecs {
+				want := before[j]
+				if j == i {
+					want = slices.Clone(before[i])
+					for l := range want {
+						want[l] = min(want[l], other[l])
+					}
+				}
+				bitsEqualF64(t, fmt.Sprintf("fold into vector %d: vector %d", i, j), v, want)
+			}
+			if !slices.Equal(acc, before[i]) {
+				lowered++
+			}
+		}
+	}
+	if adjacent == 0 || lowered == 0 {
+		t.Fatalf("%d messages gave %d slab-adjacent pairs and %d folds that wrote: nothing tested",
+			len(vecs), adjacent, lowered)
+	}
+
+	var got [][]float64
+	for v := f.Lo; v < f.Hi; v++ {
+		got = append(got, prog.Get(v))
+	}
+	want := make([][]float64, len(got))
+	for i, v := range got {
+		want[i] = slices.Clone(v)
+	}
+	for i := range got {
+		for l := range got[i] {
+			got[i][l] = -1
+		}
+		for j := range got {
+			if j != i {
+				bitsEqualF64(t, fmt.Sprintf("Get %d after writing Get %d", j, i), got[j], want[j])
+			}
+		}
+		bitsEqualF64(t, fmt.Sprintf("second Get of vertex %d", i), prog.Get(f.Lo+int32(i)), want[i])
+		for l, d := range got[i] {
+			if d != -1 {
+				t.Fatalf("second Get of vertex %d rewrote the first one's lane %d to %v", i, l, d)
+			}
+		}
+		copy(got[i], want[i])
 	}
 }

@@ -32,34 +32,6 @@ import (
 	"aap/internal/partition"
 )
 
-// weightStats scans the fragment's owned out-edges and returns the mean
-// edge weight and the coefficient of variation (the weight-dispersion
-// signal of the kernel heuristic). Unweighted fragments report (1, 0).
-func weightStats(f *partition.Fragment) (mean, disp float64) {
-	g := f.Graph()
-	if !g.Weighted() {
-		return 1, 0
-	}
-	var sum, sumSq float64
-	var n int64
-	for v := f.Lo; v < f.Hi; v++ {
-		for _, w := range g.OutWeights(v) {
-			sum += w
-			sumSq += w * w
-			n++
-		}
-	}
-	if n == 0 || !(sum > 0) {
-		return 1, 0
-	}
-	mean = sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return mean, math.Sqrt(variance) / mean
-}
-
 // deltaProgram is the per-fragment state of the bucketed kernel.
 type deltaProgram struct {
 	f      *partition.Fragment
@@ -91,7 +63,7 @@ type deltaProgram struct {
 // point (unweighted fragments get delta 1, i.e. BFS levels).
 func newDeltaProgram(f *partition.Fragment, source graph.VertexID, shards int, delta float64) *deltaProgram {
 	if !(delta > 0) {
-		delta, _ = weightStats(f)
+		delta = f.Weights().Mean
 	}
 	p := &deltaProgram{f: f, g: f.Graph(), source: source, shards: shards, delta: delta}
 	p.dist = make([]atomic.Uint64, f.Slots())

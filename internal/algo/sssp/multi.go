@@ -50,7 +50,6 @@ type MultiConfig struct {
 // single-source runs. Edge weights must be positive and finite, the
 // same precondition (and fail-fast Validate) as the single-source job.
 func MultiJob(cfg MultiConfig) core.Job[[]float64] {
-	k := len(cfg.Sources)
 	return core.Job[[]float64]{
 		Name:     "sssp-multi",
 		Validate: ValidateWeights,
@@ -59,7 +58,8 @@ func MultiJob(cfg MultiConfig) core.Job[[]float64] {
 		},
 		// Elementwise min, folded into a in place: a is always the
 		// accumulating entry of the fold, whose vector the first message
-		// owns outright (flushBorder allocates per send).
+		// owns outright — flushBorder carves each message its own k-float
+		// window of a slab, capped at k so nothing reaches a neighbour.
 		Aggregate: func(a, b []float64) []float64 {
 			n := min(len(a), len(b))
 			for i := 0; i < n; i++ {
@@ -69,14 +69,7 @@ func MultiJob(cfg MultiConfig) core.Job[[]float64] {
 			}
 			return a
 		},
-		Bytes: func(v []float64) int { return 8*len(v) + 4 },
-		Default: func(int32) []float64 {
-			d := make([]float64, k)
-			for i := range d {
-				d[i] = Inf
-			}
-			return d
-		},
+		Bytes:     func(v []float64) int { return 8*len(v) + 4 },
 		EncodeVal: codec.AppendFloat64s,
 		DecodeVal: (*codec.Reader).Float64s,
 	}
@@ -110,8 +103,10 @@ type multiProgram struct {
 	fr          *par.Frontier   // union frontier over owned slots
 	copyChanged *par.Marks      // F.O copies with any improved lane
 
-	bounds  []int   // reusable chunk-boundary scratch
-	edges   []int64 // per-shard scan counts
+	bounds  []int     // reusable chunk-boundary scratch
+	edges   []int64   // per-shard scan counts
+	lanes   []float64 // per-shard lane snapshots of sweep, a cache line apart
+	results []float64 // unhanded rest of the chunk Get carves from
 	rounds  int
 	scanned int64 // raw CSR edges read (once per expansion, k lanes served)
 }
@@ -179,10 +174,17 @@ func (p *multiProgram) IncEval(msgs []core.VMsg[[]float64], ctx *core.Context[[]
 	p.flushBorder(ctx)
 }
 
-// Get returns the lane vector of owned vertex v.
+// Get returns the lane vector of owned vertex v. Vectors are carved in
+// turn from a chunk sized for every owned vertex, and a spent chunk is
+// replaced, never reused: each returned vector is written once, here,
+// and belongs to the caller from then on.
 func (p *multiProgram) Get(v int32) []float64 {
+	if len(p.results) < p.k {
+		p.results = make([]float64, p.f.NumOwned()*p.k)
+	}
+	out := p.results[:p.k:p.k]
+	p.results = p.results[p.k:]
 	base := int(p.f.Slot(v)) * p.k
-	out := make([]float64, p.k)
 	for l := range out {
 		out[l] = math.Float64frombits(p.dist[base+l].Load())
 	}
@@ -218,9 +220,15 @@ func (p *multiProgram) sweep(ctx *core.Context[[]float64]) {
 			p.edges = make([]int64, k)
 		}
 		edges := p.edges[:k]
+		// k floats rounded up to a 64-byte line: shards rewrite their
+		// snapshot per expanded slot, so they must share no line.
+		stride := (p.k + 7) &^ 7
+		if len(p.lanes) < k*stride {
+			p.lanes = make([]float64, k*stride)
+		}
 		par.Do(k, func(w int) {
 			var scanned int64
-			d := make([]float64, p.k) // lane snapshot of the expanding slot
+			d := p.lanes[w*stride : w*stride+p.k] // lane snapshot of the expanding slot
 			for _, s := range items[p.bounds[w]:p.bounds[w+1]] {
 				base := int(s) * p.k
 				live := false
@@ -279,7 +287,10 @@ func (p *multiProgram) relax(slot int32, d []float64, wt float64, w int, owned i
 
 // flushBorder ships the lane vectors of copies improved since the last
 // flush, staged across kernel shards in copy-slot order (the same
-// deterministic merge as the single-source kernels).
+// deterministic merge as the single-source kernels). Each shard counts
+// its marked copies and allocates one slab for all their vectors; every
+// message gets its own k-float window, capped so that the receiver's
+// in-place Aggregate cannot reach the next one.
 func (p *multiProgram) flushBorder(ctx *core.Context[[]float64]) {
 	nOut := len(p.f.Out)
 	if nOut == 0 {
@@ -290,12 +301,24 @@ func (p *multiProgram) flushBorder(ctx *core.Context[[]float64]) {
 	stages := ctx.Stages(k)
 	par.Do(k, func(w int) {
 		st := stages[w]
-		for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
+		lo, hi := w*nOut/k, (w+1)*nOut/k
+		n := 0
+		for i := lo; i < hi; i++ {
+			if p.copyChanged.Marked(int32(i)) {
+				n++
+			}
+		}
+		if n == 0 {
+			return
+		}
+		slab := make([]float64, n*p.k)
+		for i := lo; i < hi; i++ {
 			if !p.copyChanged.Marked(int32(i)) {
 				continue
 			}
 			base := (owned + i) * p.k
-			vec := make([]float64, p.k)
+			vec := slab[:p.k:p.k]
+			slab = slab[p.k:]
 			for l := range vec {
 				vec[l] = math.Float64frombits(p.dist[base+l].Load())
 			}

@@ -118,7 +118,6 @@ func JobConfig(cfg Config) core.Job[float64] {
 		},
 		Aggregate: math.Min,
 		Bytes:     func(float64) int { return 8 },
-		Default:   func(int32) float64 { return Inf },
 		EncodeVal: codec.AppendFloat64,
 		DecodeVal: (*codec.Reader).Float64,
 	}
@@ -150,16 +149,10 @@ func newKernel(f *partition.Fragment, cfg Config) core.Program[float64] {
 		// Too small to shard: sequential Dijkstra is work-optimal.
 		return newRefProgram(f, cfg.Source)
 	}
-	if mean, disp := weightStats(f); disp >= weightDispersionMin {
+	if f.Weights().Disp >= weightDispersionMin {
 		// Dispersed weights: long shortest-path trees re-relax badly in
-		// Bellman-Ford order; bucket the frontier. The mean is in hand,
-		// so resolve the auto delta here instead of rescanning the
-		// fragment's weights in newDeltaProgram.
-		delta := cfg.Delta
-		if !(delta > 0) {
-			delta = mean
-		}
-		return newDeltaProgram(f, cfg.Source, cfg.Shards, delta)
+		// Bellman-Ford order; bucket the frontier.
+		return newDeltaProgram(f, cfg.Source, cfg.Shards, cfg.Delta)
 	}
 	return newProgram(f, cfg.Source, cfg.Shards)
 }
@@ -168,19 +161,16 @@ func newKernel(f *partition.Fragment, cfg Config) core.Program[float64] {
 // edge weight is positive and finite. A zero, negative, NaN or infinite
 // weight silently voids the unique-fixpoint argument (relaxation order
 // could then change results, and zero-weight cycles never terminate),
-// so engines fail fast instead. Unweighted graphs pass trivially.
+// so engines fail fast instead. Unweighted graphs pass trivially. The
+// weights are scanned once per partitioned graph (Fragment.Weights), so
+// a resident graph pays nothing per query.
 func ValidateWeights(p *partition.Partitioned) error {
 	g := p.G
-	if !g.Weighted() {
-		return nil
-	}
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		out := g.Out(v)
-		for i, w := range g.OutWeights(v) {
-			if !(w > 0) || math.IsInf(w, 1) {
-				return fmt.Errorf("sssp: edge %d->%d has weight %v: edge weights must be positive and finite",
-					g.IDOf(v), g.IDOf(out[i]), w)
-			}
+	for _, f := range p.Frags { // owned ranges ascend, so the first hit is the first bad edge
+		if ws := f.Weights(); ws.BadRow >= 0 {
+			v, i := ws.BadRow, ws.BadIndex
+			return fmt.Errorf("sssp: edge %d->%d has weight %v: edge weights must be positive and finite",
+				g.IDOf(v), g.IDOf(g.Out(v)[i]), g.OutWeights(v)[i])
 		}
 	}
 	return nil

@@ -224,7 +224,6 @@ func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeSt
 		stats.Workers[i] = w.stats
 	}
 	stats.finalize()
-	stats.ArenaBytes = arenaBytes(p, &job)
 	for _, w := range e.workers {
 		if sc, ok := w.prog.(ScanCounter); ok {
 			stats.ScannedEdges += sc.ScannedEdges()
@@ -265,7 +264,9 @@ func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeSt
 	for i, w := range e.workers {
 		progs[i] = w.prog
 	}
-	res := &Result[T]{Values: Assemble(p, progs, job), Stats: stats}
+	values := Assemble(p, progs)
+	stats.ArenaBytes = arenaBytes(p, &job, values)
+	res := &Result[T]{Values: values, Stats: stats}
 	if deadlined {
 		return res, fmt.Errorf("core: %s/%s exceeded deadline %v: %w", job.Name, opts.Mode, opts.Deadline, context.DeadlineExceeded)
 	}

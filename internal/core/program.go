@@ -96,10 +96,6 @@ type Job[T any] struct {
 	// accounting. When nil, 8 bytes per value is assumed.
 	Bytes func(T) int
 
-	// Default returns the value reported for vertices never touched by
-	// the computation; the zero value of T when nil.
-	Default func(v int32) T
-
 	// EncodeVal and DecodeVal give the value type a wire form for the
 	// TCP transport plane (Options.Transport): EncodeVal appends val's
 	// serialized bytes to dst, DecodeVal reads them back. They must be
@@ -429,14 +425,10 @@ type Result[T any] struct {
 
 // Assemble collects owned values from every program into a global vector,
 // the default Assemble of the paper's PIE programs (taking the union of
-// partial results).
-func Assemble[T any](p *partition.Partitioned, progs []Program[T], job Job[T]) []T {
+// partial results). The fragments' owned ranges cover every vertex, so
+// each entry is its owner's Get.
+func Assemble[T any](p *partition.Partitioned, progs []Program[T]) []T {
 	values := make([]T, p.G.NumVertices())
-	if job.Default != nil {
-		for v := range values {
-			values[v] = job.Default(int32(v))
-		}
-	}
 	for i, f := range p.Frags {
 		for v := f.Lo; v < f.Hi; v++ {
 			values[v] = progs[i].Get(v)

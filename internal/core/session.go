@@ -117,18 +117,14 @@ type ScanCounter interface {
 // arenaBytes estimates the per-query vertex-state arena footprint of a
 // run: one value per local slot (owned vertices + border copies, the
 // only per-job memory the kernels allocate per vertex) plus the
-// assembled global result vector, priced at the job's wire size for a
-// default value. An estimate — kernels are free to keep denser or
+// assembled global result vector, priced at the job's wire size for one
+// assembled value. An estimate — kernels are free to keep denser or
 // fatter state — but proportional to the real footprint, and what the
 // serving plane reports per query.
-func arenaBytes[T any](p *partition.Partitioned, job *Job[T]) int64 {
+func arenaBytes[T any](p *partition.Partitioned, job *Job[T], values []T) int64 {
 	per := 8
-	if job.Bytes != nil {
-		var v T
-		if job.Default != nil {
-			v = job.Default(0)
-		}
-		per = job.Bytes(v)
+	if job.Bytes != nil && len(values) > 0 {
+		per = job.Bytes(values[0])
 	}
 	slots := 0
 	for _, f := range p.Frags {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"aap/internal/graph"
 )
@@ -50,6 +51,10 @@ type Fragment struct {
 	// local holds the owned rows' out-targets as local slots, the
 	// fragment-local CSR read through LocalOut (local.go).
 	local []int32
+
+	// weights memoizes Weights (weights.go).
+	weightsOnce sync.Once
+	weights     WeightSummary
 
 	p *Partitioned
 }
@@ -109,8 +114,10 @@ func (f *Fragment) Partitioned() *Partitioned { return f.p }
 // border sets — is read-only. This is what lets core.Session share one
 // Partitioned across concurrently executing queries with no locking:
 // per-query state lives entirely in the engine's vertex arenas, never
-// here. Anything that wants different fragments (Relabel, a different
-// m) builds a new Partitioned.
+// here. The one lazily filled field, Fragment.Weights' summary, is a
+// pure function of the graph written once under a sync.Once. Anything
+// that wants different fragments (Relabel, a different m) builds a new
+// Partitioned.
 type Partitioned struct {
 	G      *graph.Graph
 	M      int

@@ -102,7 +102,7 @@ func Run[T any](p *partition.Partitioned, job core.Job[T], cfg Config) (*Result[
 	for i, w := range s.workers {
 		progs[i] = w.prog
 	}
-	return &Result[T]{Values: core.Assemble(p, progs, job), Stats: stats, Trace: s.trace}, nil
+	return &Result[T]{Values: core.Assemble(p, progs), Stats: stats, Trace: s.trace}, nil
 }
 
 // wstate is the scheduling state of a simulated worker.
